@@ -628,6 +628,9 @@ def _cmd_trace_query(args) -> int:
 def _cmd_trace_diff(args) -> int:
     from repro.trace import TraceFormatError, diff_traces
 
+    if args.max_deltas < 1:
+        raise CliError(f"--max-deltas must be at least 1 (got "
+                       f"{args.max_deltas})")
     for path in (args.a, args.b):
         if not os.path.exists(path):
             raise CliError(f"cannot read {path}: no such file")

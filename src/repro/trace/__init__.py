@@ -31,7 +31,7 @@ from repro.trace.format import (
     TraceManifest,
 )
 from repro.trace.io import FrameColumns, TraceReader, TraceWriter, \
-    decode_frame_columns
+    decode_frame_columns, decode_frame_run
 from repro.trace.capture import CAPTURE_FLAGS, TraceRecorder, \
     capture_workload
 from repro.trace.replay import (
@@ -73,7 +73,7 @@ __all__ = [
     "BranchEvent", "InstrEvent", "KernelEndEvent", "LaunchEvent",
     "MemEvent", "TraceFormatError", "TraceManifest",
     "FrameColumns", "TraceReader", "TraceWriter",
-    "decode_frame_columns",
+    "decode_frame_columns", "decode_frame_run",
     "CAPTURE_FLAGS", "TraceRecorder", "capture_workload",
     "ANALYSES", "CacheSimAnalysis", "DivergenceAnalysis",
     "MemoryDivergenceAnalysis", "OpcodeHistogramAnalysis",

@@ -14,20 +14,24 @@ sidecar at close — :meth:`TraceReader.open_launch` then seeks straight
 to launch *n* instead of scanning the whole stream.
 
 :class:`FrameColumns` is the replay stack's batch currency: one
-``LAUNCH .. KEND`` frame decoded into ndarray columns by
-:func:`decode_frame_columns` — the whole varint stream in a few numpy
-passes (continuation-bit segmentation, masked shift-accumulate,
-cumulative-sum zigzag-delta undo, pointer-doubled record walk), with
-the scalar token walk kept as the bit-exact reference and fallback.
-:func:`repro.trace.replay.replay`, :func:`~repro.trace.replay.\
-replay_sharded`, and ``repro trace query`` all consume it.
+``LAUNCH .. KEND`` frame decoded into ndarray columns.
+:func:`decode_frame_run` decodes a run of consecutive frames in a few
+numpy passes (continuation-bit segmentation, masked shift-accumulate,
+a pointer-doubled record walk, and delta chains undone by a cumsum
+segmented at every frame), with the scalar token walk kept as the
+bit-exact reference and fallback; :func:`decode_frame_columns` is its
+one-frame case.  :meth:`TraceReader.frame_columns` reads an index's
+frames in runs of at most :data:`RUN_BYTES` and decodes each run in one
+pass; serial columnar replay, ``repro trace query`` and ``repro
+trace-diff`` all read through it, and sharded replay workers decode
+their one frame with :func:`decode_frame_columns`.
 """
 
 from __future__ import annotations
 
 import io
 import os
-from typing import IO, Iterator, List, Optional, Tuple, Union
+from typing import IO, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -370,25 +374,70 @@ class TraceReader:
         of :meth:`read_frame` (which reopens the trace per call).  Each
         frame is validated against the index's per-frame CRC before it
         is yielded."""
+        for run in self.frame_runs(index.entries):
+            yield from run
+
+    def frame_runs(self, entries: Sequence["index_mod.LaunchEntry"]
+                   ) -> Iterator[List[Tuple["index_mod.LaunchEntry",
+                                            bytes]]]:
+        """Yield *entries*' frames as runs of ``(entry, frame_bytes)``.
+
+        A run is a stretch of frames that sit back to back in the file,
+        at most :data:`RUN_BYTES` long (a larger frame is a run of its
+        own); it is read with one seek and one read, and each frame is
+        validated against the index's per-frame CRC before the run is
+        yielded.
+        """
         handle = self._open()
         owns = self._fileobj is None
         try:
-            for entry in index.entries:
-                handle.seek(entry.offset)
-                data = handle.read(entry.length)
-                if len(data) != entry.length:
-                    raise TraceFormatError(
-                        f"{self._name()}: indexed frame at {entry.offset}"
-                        " runs past the end of the trace (stale index?)")
-                if crc32(data) != entry.checksum:
-                    raise TraceFormatError(
-                        f"{self._name()}: frame checksum mismatch at "
-                        f"launch {entry.launch_index} (stale index or "
-                        "corrupt trace)")
-                yield entry, data
+            run: List["index_mod.LaunchEntry"] = []
+            for entry in entries:
+                if run and (entry.offset != run[-1].offset + run[-1].length
+                            or entry.offset + entry.length - run[0].offset
+                            > RUN_BYTES):
+                    yield self._read_run(handle, run)
+                    run = []
+                run.append(entry)
+            if run:
+                yield self._read_run(handle, run)
         finally:
             if owns:
                 handle.close()
+
+    def _read_run(self, handle: IO[bytes],
+                  run: List["index_mod.LaunchEntry"]
+                  ) -> List[Tuple["index_mod.LaunchEntry", bytes]]:
+        first = run[0].offset
+        handle.seek(first)
+        blob = handle.read(run[-1].offset + run[-1].length - first)
+        out = []
+        for entry in run:
+            data = blob[entry.offset - first:
+                        entry.offset - first + entry.length]
+            if len(data) != entry.length:
+                raise TraceFormatError(
+                    f"{self._name()}: indexed frame at {entry.offset}"
+                    " runs past the end of the trace (stale index?)")
+            if crc32(data) != entry.checksum:
+                raise TraceFormatError(
+                    f"{self._name()}: frame checksum mismatch at "
+                    f"launch {entry.launch_index} (stale index or "
+                    "corrupt trace)")
+            out.append((entry, data))
+        return out
+
+    def frame_columns(self, entries: Sequence["index_mod.LaunchEntry"]
+                      ) -> Iterator[Tuple["index_mod.LaunchEntry", bytes,
+                                          Optional["FrameColumns"]]]:
+        """Yield ``(entry, frame_bytes, columns)`` for *entries* in
+        order, decoding each run of :meth:`frame_runs` in one
+        :func:`decode_frame_run` pass.  ``columns`` is ``None`` for a
+        frame the vector decoder declines (replay it in events mode)."""
+        for run in self.frame_runs(entries):
+            decoded = decode_frame_run([data for _, data in run])
+            for (entry, data), frame in zip(run, decoded):
+                yield entry, data, frame
 
     # ---------------------------------------------------------- summary
 
@@ -449,14 +498,22 @@ def _parse_footer_block(footer: bytes, version: int,
 #: Longer (still wire-legal) varints punt to the scalar reference.
 _VECTOR_VARINT_MAX = 9
 
-#: |cumulative address| ceiling for trusting the int64 delta cumsum; a
-#: float64 shadow sum below this proves no int64 wrap occurred (its
-#: relative error is far smaller than the 2x margin to 2**63).
+#: ceiling on the summed |delta| of a decode run's delta chains: below
+#: it no partial sum can reach 2**63, so the int64 cumsum is exact (the
+#: float64 sum's relative error is far inside the 2x margin)
 _ADDR_SAFE_LIMIT = float(2 ** 62)
 
+#: byte budget of one batched decode run: consecutive frames are read
+#: and decoded together until the next one would pass it (a larger
+#: frame is a run of its own), so the run's token arrays stay a few MiB
+#: however long the trace is
+RUN_BYTES = 256 << 10
 
-def _decode_varints(data: bytes, pos: int) -> Optional[np.ndarray]:
-    """Every varint in ``data[pos:]`` as one int64 ndarray.
+
+def _varint_values(buf: np.ndarray
+                   ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Every varint in the byte array *buf* as one int64 ndarray, with
+    the index of each varint's last byte.
 
     The vectorized core of the columnar decoder: terminator bytes
     (``< 0x80``) segment the stream, and one masked shift-accumulate
@@ -465,13 +522,11 @@ def _decode_varints(data: bytes, pos: int) -> Optional[np.ndarray]:
     truncated trailing varint (the scalar path raises the canonical
     error) or a varint longer than 9 bytes (could overflow int64).
     """
-    buf = np.frombuffer(data, dtype=np.uint8, offset=pos)
     if buf.size == 0:
-        return np.empty(0, dtype=np.int64)
-    terminators = buf < 0x80
-    if not terminators[-1]:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if buf[-1] >= 0x80:
         return None
-    ends = np.flatnonzero(terminators)
+    ends = np.flatnonzero(buf < 0x80)
     lengths = np.diff(ends, prepend=-1)
     max_len = int(lengths.max())
     if max_len > _VECTOR_VARINT_MAX:
@@ -482,92 +537,138 @@ def _decode_varints(data: bytes, pos: int) -> Optional[np.ndarray]:
     for k in range(1, max_len):
         more = lengths > k
         values[more] |= payload[starts[more] + k] << (7 * k)
-    return values
+    return values, ends
 
 
 def _record_starts(tok: np.ndarray) -> Optional[np.ndarray]:
     """Start position of every record in the flat token stream *tok*.
 
     Record lengths are data-dependent (MEM records embed a line count),
-    so the boundaries form a linked list ``i -> i + len(record at i)``.
-    Pointer doubling walks it in O(log n) array passes instead of one
-    Python step per record.  Returns ``None`` on any structural
-    anomaly — unknown tag, nested launch, a record overrunning the
-    stream — so the scalar walk can raise its canonical error.
+    so the boundaries form a linked list ``i -> i + len(record at i)``
+    over the tokens that could be tags.  Pointer doubling walks it in
+    O(log n) array passes instead of one Python step per record.
+    Returns ``None`` on any structural anomaly — unknown tag, nested
+    launch, a record overrunning the stream — so the scalar walk can
+    raise its canonical error.
     """
     n = int(tok.size)
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    step = np.full(n, -1, dtype=np.int64)
-    step[tok == TAG_KEND] = 2
-    step[(tok == TAG_INSTR) | (tok == TAG_BRANCH)] = 5
-    mem = np.flatnonzero(tok == TAG_MEM)
-    counted = mem[mem + 5 < n]
-    counts = tok[counted + 5]
+    cand = np.flatnonzero((tok >= TAG_KEND) & (tok <= TAG_BRANCH))
+    m = int(cand.size)
+    if m == 0 or cand[0] != 0:
+        return None               # the stream must open with a tag
+    kinds = tok[cand]
+    step = np.full(m, 5, dtype=np.int64)
+    step[kinds == TAG_KEND] = 2
+    mem = np.flatnonzero(kinds == TAG_MEM)
+    counted = mem[cand[mem] + 5 < n]
+    counts = tok[cand[counted] + 5]
+    step[mem] = n + 1             # a MEM record cut off before its count
     sane = counts <= n            # larger can never fit; avoids overflow
     step[counted[sane]] = 6 + counts[sane]
-    targets = np.arange(n, dtype=np.int64) + step
-    jump = np.empty(n + 2, dtype=np.int64)
-    jump[:n] = np.where((step > 0) & (targets <= n), targets, n + 1)
-    jump[n] = n                   # clean end: absorbing
-    jump[n + 1] = n + 1           # anomaly: absorbing
+    targets = np.minimum(cand + step, n + 1)
+    # candidate ordinal of every position: m is the clean end, m + 1
+    # an anomaly (a record ending on a non-tag or past the stream)
+    ordinal = np.full(n + 2, m + 1, dtype=np.int64)
+    ordinal[cand] = np.arange(m, dtype=np.int64)
+    ordinal[n] = m
+    jump = np.empty(m + 2, dtype=np.int64)
+    jump[:m] = ordinal[targets]
+    jump[m] = m                   # clean end: absorbing
+    jump[m + 1] = m + 1           # anomaly: absorbing
     starts = np.zeros(1, dtype=np.int64)
     reached = 1
-    while reached < n:
+    while reached <= m:
         starts = np.concatenate([starts, jump[starts]])
         jump = jump[jump]
         reached *= 2
-    starts = np.unique(starts)
-    if starts[-1] != n:           # walk hit a bad tag or fell off
+    seen = np.zeros(m + 2, dtype=bool)
+    seen[starts] = True
+    if not seen[m]:               # walk hit a bad tag or fell off
         return None
-    return starts[:-1]
+    return cand[seen[:m]]
 
 
-def _unzigzag_cumsum(raw: np.ndarray) -> Optional[np.ndarray]:
-    """Undo zigzag and the delta chain in two array ops; ``None`` when
-    the reconstructed values might not fit int64."""
+def _segmented_cumsum(raw: np.ndarray,
+                      bounds: np.ndarray) -> Optional[np.ndarray]:
+    """Undo zigzag and the delta chains in a few array ops.
+
+    ``raw[bounds[i]:bounds[i + 1]]`` is one chain restarting from 0 (a
+    frame: the codec resets its delta state at every launch).  Returns
+    ``None`` when a reconstructed value might not fit int64.
+    """
     deltas = (raw >> 1) ^ -(raw & 1)
-    if deltas.size:
-        shadow = np.cumsum(deltas.astype(np.float64))
-        if float(np.abs(shadow).max()) >= _ADDR_SAFE_LIMIT:
-            return None
-    return np.cumsum(deltas)
+    if not deltas.size:
+        return deltas
+    if float(np.abs(deltas.astype(np.float64)).sum()) >= _ADDR_SAFE_LIMIT:
+        return None
+    total = np.cumsum(deltas)
+    if len(bounds) == 2:
+        return total
+    base = np.concatenate(([0], total))[bounds[:-1]]
+    return total - np.repeat(base, bounds[1:] - bounds[:-1])
 
 
-def _columns_vector(tok: np.ndarray) -> Optional[tuple]:
-    """The whole-frame vectorized column extraction; ``None`` punts to
-    the scalar reference (structural anomaly or int64-overflow risk)."""
+#: which per-frame edge list slices each :class:`FrameColumns` column:
+#: 0 records, 1 KEND, 2 INSTR, 3 MEM, 4 memory lines, 5 BRANCH
+_COLUMN_GROUPS = (0, 1, 2, 2, 2, 2, 3, 3, 3, 3, 3, 4, 5, 5, 5, 5)
+
+
+def _columns_run(tok: np.ndarray, bounds: np.ndarray) -> Optional[list]:
+    """The vectorized column extraction for a run of frames.
+
+    *tok* holds the record tokens of consecutive frames back to back;
+    frame *i* owns ``tok[bounds[i]:bounds[i + 1]]``.  One record walk
+    and one segmented cumsum per delta chain cover the whole run, and
+    each frame's columns are slices of the run-wide arrays.  Returns
+    one column tuple per frame, or ``None`` to punt to the scalar
+    reference: a structural anomaly (including a record that crosses a
+    frame edge) or an int64-overflow risk.
+    """
+    n = int(tok.size)
     rec = _record_starts(tok)
     if rec is None:
         return None
+    rec_bounds = np.searchsorted(rec, bounds)
+    if not np.array_equal(np.append(rec, n)[rec_bounds], bounds):
+        return None               # a record runs across a frame edge
     tags = tok[rec]
     instr_at = rec[tags == TAG_INSTR]
     mem_at = rec[tags == TAG_MEM]
     branch_at = rec[tags == TAG_BRANCH]
     kend_at = rec[tags == TAG_KEND]
-    addr_at = rec[tags != TAG_KEND]
-    addrs = _unzigzag_cumsum(tok[addr_at + 1])
+    has_addr = tags != TAG_KEND
+    addr_at = rec[has_addr]
+    addrs = _segmented_cumsum(tok[addr_at + 1],
+                              np.searchsorted(addr_at, bounds))
     if addrs is None:
         return None
+    addr_tags = tags[has_addr]
+    mem_bounds = np.searchsorted(mem_at, bounds)
     nlines = tok[mem_at + 5]
-    total = int(nlines.sum())
-    if total:
-        cum = np.cumsum(nlines)
-        flat = (np.repeat(mem_at + 6 - (cum - nlines), nlines)
-                + np.arange(total, dtype=np.int64))
-        lines = _unzigzag_cumsum(tok[flat])
-        if lines is None:
-            return None
-    else:
-        lines = np.empty(0, dtype=np.int64)
-    return (tags, tok[kend_at + 1],
-            addrs[np.searchsorted(addr_at, instr_at)],
-            tok[instr_at + 2], tok[instr_at + 3], tok[instr_at + 4],
-            addrs[np.searchsorted(addr_at, mem_at)],
-            tok[mem_at + 2], tok[mem_at + 3], tok[mem_at + 4],
-            nlines, lines,
-            addrs[np.searchsorted(addr_at, branch_at)],
-            tok[branch_at + 2], tok[branch_at + 3], tok[branch_at + 4])
+    cum = np.concatenate(([0], np.cumsum(nlines)))
+    line_bounds = cum[mem_bounds]
+    total = int(cum[-1])
+    flat = (np.repeat(mem_at + 6 - cum[:-1], nlines)
+            + np.arange(total, dtype=np.int64))
+    lines = _segmented_cumsum(tok[flat], line_bounds)
+    if lines is None:
+        return None
+    columns = (tags, tok[kend_at + 1],
+               addrs[addr_tags == TAG_INSTR], tok[instr_at + 2],
+               tok[instr_at + 3], tok[instr_at + 4],
+               addrs[addr_tags == TAG_MEM], tok[mem_at + 2],
+               tok[mem_at + 3], tok[mem_at + 4], nlines, lines,
+               addrs[addr_tags == TAG_BRANCH], tok[branch_at + 2],
+               tok[branch_at + 3], tok[branch_at + 4])
+    edges = [edge.tolist() for edge in (
+        rec_bounds, np.searchsorted(kend_at, bounds),
+        np.searchsorted(instr_at, bounds), mem_bounds, line_bounds,
+        np.searchsorted(branch_at, bounds))]
+    return [tuple(column[edges[group][i]:edges[group][i + 1]]
+                  for column, group in zip(columns, _COLUMN_GROUPS))
+            for i in range(len(bounds) - 1)]
 
 
 def _columns_scalar(tokens: List[int]) -> Optional[tuple]:
@@ -700,28 +801,77 @@ class FrameColumns:
         return decode_frame_columns(data)
 
 
+def _launch_header(data: bytes) -> Tuple[object, int]:
+    """A frame slice's launch event and the offset just past it."""
+    tag, pos = decode_varint(data, 0)
+    if tag != TAG_LAUNCH:
+        raise TraceFormatError(
+            "frame slice does not start at a launch record")
+    return decode_event(tag, data, pos, EncoderState())
+
+
+def _decode_run(frames: Sequence[bytes]) -> Optional[List[FrameColumns]]:
+    """The vector path over a run; ``None`` when any frame in it needs
+    the scalar reference (so the caller can go frame by frame and keep
+    the frame-by-frame error order)."""
+    try:
+        headers = [_launch_header(data) for data in frames]
+    except TraceFormatError:
+        return None
+    body = b"".join(data[pos:] for data, (_, pos) in zip(frames, headers))
+    sizes = np.array([len(data) - pos
+                      for data, (_, pos) in zip(frames, headers)],
+                     dtype=np.int64)
+    byte_bounds = np.concatenate(([0], np.cumsum(sizes)))
+    buf = np.frombuffer(body, dtype=np.uint8)
+    decoded = _varint_values(buf)
+    if decoded is None:
+        return None
+    tok, ends = decoded
+    # a frame whose last varint is unterminated would borrow bytes from
+    # the next frame: only a terminator may end a non-empty frame
+    closing = byte_bounds[1:][byte_bounds[1:] > byte_bounds[:-1]] - 1
+    if (buf[closing] >= 0x80).any():
+        return None
+    columns = _columns_run(tok, np.searchsorted(ends, byte_bounds))
+    if columns is None:
+        return None
+    return [FrameColumns(launch, cols)
+            for (launch, _), cols in zip(headers, columns)]
+
+
+def decode_frame_run(frames: Sequence[bytes]) -> List[Optional[FrameColumns]]:
+    """Decode consecutive frame slices in one vectorized pass.
+
+    One varint pass and one record walk cover the whole run; the
+    address and line delta chains restart at every frame through a
+    segmented cumsum, and each frame's :class:`FrameColumns` holds
+    slices of the run-wide arrays.  Element *i* of the result is
+    exactly ``decode_frame_columns(frames[i])``: a run the vector path
+    declines is decoded frame by frame, so a frame that needs the
+    scalar reference gets its ``None`` or raises its canonical
+    :class:`TraceFormatError` just as it would alone.
+    """
+    decoded = _decode_run(frames)
+    if decoded is not None:
+        return decoded
+    if len(frames) != 1:
+        return [decode_frame_columns(data) for data in frames]
+    launch, pos = _launch_header(frames[0])
+    columns = _columns_scalar(decode_varint_stream(frames[0], pos))
+    return [None if columns is None else FrameColumns(launch, columns)]
+
+
 def decode_frame_columns(data: bytes) -> Optional[FrameColumns]:
     """Decode one frame slice into :class:`FrameColumns`.
 
-    The vectorized pipeline handles well-formed frames in a few array
-    passes; any anomaly (over-long varints, truncation, bad tags) falls
-    back to the scalar reference walk, which raises the canonical
+    The one-frame case of :func:`decode_frame_run`: the vectorized
+    pipeline handles well-formed frames in a few array passes; any
+    anomaly (over-long varints, truncation, bad tags) falls back to the
+    scalar reference walk, which raises the canonical
     :class:`TraceFormatError` for corrupt input — so the error
     behaviour is bit-identical to the streaming decoder.  Returns
     ``None`` only when a decoded value exceeds int64; callers then
     replay the frame in events mode (arbitrary-precision Python ints).
     """
-    pos = 0
-    tag, pos = decode_varint(data, pos)
-    if tag != TAG_LAUNCH:
-        raise TraceFormatError(
-            "frame slice does not start at a launch record")
-    state = EncoderState()
-    launch, pos = decode_event(tag, data, pos, state)
-    tok = _decode_varints(data, pos)
-    columns = _columns_vector(tok) if tok is not None else None
-    if columns is None:
-        columns = _columns_scalar(decode_varint_stream(data, pos))
-        if columns is None:
-            return None
-    return FrameColumns(launch, columns)
+    return decode_frame_run([data])[0]

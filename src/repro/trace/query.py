@@ -48,7 +48,7 @@ from repro.trace.format import (
     MemEvent,
     iter_slice_events,
 )
-from repro.trace.io import FrameColumns, TraceReader, decode_frame_columns
+from repro.trace.io import FrameColumns, TraceReader
 
 QUERY_KINDS = ("instr", "mem", "branch")
 
@@ -405,8 +405,9 @@ def run_query(trace_path: str, filt: QueryFilter,
     bound to this trace, else falls back to a full scan
     (``stats.used_index`` says which — a missing sidecar is reported as
     a full scan, never silently rebuilt by a hidden one).  Indexed
-    queries without a warp filter run the columnar fast path
-    (:func:`_frame_hits_columns`) per visited frame.
+    queries without a warp filter decode the visited frames in batched
+    runs and run the columnar fast path (:func:`_frame_hits_columns`)
+    per frame.
     """
     stats = QueryStats()
     if index is None:
@@ -417,15 +418,20 @@ def run_query(trace_path: str, filt: QueryFilter,
 
         def indexed_hits() -> Iterator[QueryHit]:
             reader = TraceReader(trace_path)
+            wanted = [filt.launch_in_range(ordinal)
+                      and _entry_can_match(entry, filt)
+                      for ordinal, entry in enumerate(index.entries)]
+            # visited frames are read and decoded in batched runs
+            columns = (reader.frame_columns(
+                [entry for entry, want in zip(index.entries, wanted)
+                 if want]) if filt.warp is None else None)
             for ordinal, entry in enumerate(index.entries):
-                if (not filt.launch_in_range(ordinal)
-                        or not _entry_can_match(entry, filt)):
+                if not wanted[ordinal]:
                     stats.launches_skipped += 1
                     continue
                 stats.launches_visited += 1
-                if filt.warp is None:
-                    data = reader.read_frame(entry)
-                    frame = decode_frame_columns(data)
+                if columns is not None:
+                    _, data, frame = next(columns)
                     if frame is not None:
                         yield from _frame_hits_columns(
                             frame, ordinal, entry.kernel, filt, stats)

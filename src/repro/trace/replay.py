@@ -16,13 +16,13 @@ tests hold them *exactly* equal to the live-instrumented results:
 
 Two replay drivers share the analyses.  :func:`replay` is the serial
 pass: when every requested analysis supports the columnar fast path
-and a ``.rpti`` sidecar is on disk, it decodes whole launch frames
-into :class:`~repro.trace.io.FrameColumns` ndarray batches
-(:func:`~repro.trace.io.decode_frame_columns`) and feeds vectorized
-batch kernels — ``np.bincount``-style reductions instead of per-event
-Python dispatch — falling back to the original event-stream pass
-otherwise (``columnar=False`` forces it; results are bit-identical
-either way).  :func:`replay_sharded` partitions the trace by
+and a ``.rpti`` sidecar is on disk, it decodes runs of launch frames
+in one pass (:func:`~repro.trace.io.decode_frame_run`) into one
+:class:`~repro.trace.io.FrameColumns` ndarray batch per frame and
+feeds vectorized batch kernels — ``np.bincount``-style reductions
+instead of per-event Python dispatch — falling back to the original
+event-stream pass otherwise (``columnar=False`` forces it; results are
+bit-identical either way).  :func:`replay_sharded` partitions the trace by
 kernel-launch frames (using the ``.rpti`` index), replays frames
 through a :func:`repro.campaign.engine.run_tasks` process pool, and
 folds per-shard results back together in launch order with
@@ -512,8 +512,11 @@ def replay(trace, analyses: Sequence[TraceAnalysis],
 
 def _replay_columnar(reader: TraceReader, index: "index_mod.TraceIndex",
                      analyses: List[TraceAnalysis]) -> List[TraceAnalysis]:
-    """Serial columnar pass: one :class:`FrameColumns` batch per launch
-    frame, with decode-vs-analyze time attributed in telemetry.  Frames
+    """Serial columnar pass: launch frames are read and decoded in
+    batched runs (:meth:`TraceReader.frame_columns`) and fed one
+    :class:`FrameColumns` batch at a time.  Telemetry splits the whole
+    pass between ``decode_ns`` (reading and decoding, timed around each
+    step of the frame iterator) and ``analyze_ns`` (the feeds).  Frames
     the vector decoder declines (see :func:`decode_frame_columns`) drop
     to the events-mode feed, so results never depend on which path ran.
     """
@@ -521,12 +524,12 @@ def _replay_columnar(reader: TraceReader, index: "index_mod.TraceIndex",
     decode_ns = 0
     analyze_ns = 0
     timed = TELEMETRY.enabled
+    clock = time.perf_counter_ns
     with telemetry_span("trace.replay", trace=str(reader.path),
                         columnar="true"):
-        for entry, data in reader.frames(index):
-            t0 = time.perf_counter_ns() if timed else 0
-            frame = decode_frame_columns(data)
-            t1 = time.perf_counter_ns() if timed else 0
+        t0 = clock() if timed else 0
+        for entry, data, frame in reader.frame_columns(index.entries):
+            t1 = clock() if timed else 0
             decode_ns += t1 - t0
             if frame is None:
                 _feed_frame_events(data, analyses)
@@ -536,8 +539,10 @@ def _replay_columnar(reader: TraceReader, index: "index_mod.TraceIndex",
                     analysis.feed_columns(frame)
                 events += frame.events
             if timed:
-                analyze_ns += time.perf_counter_ns() - t1
+                t0 = clock()
+                analyze_ns += t0 - t1
         if timed:
+            decode_ns += clock() - t0
             TELEMETRY.incr("trace.replay.events", events)
             TELEMETRY.incr("trace.replay.decode_ns", decode_ns)
             TELEMETRY.incr("trace.replay.analyze_ns", analyze_ns)

@@ -255,6 +255,22 @@ class TestTraceDiff:
                      str(tmp_path / "gone.rptrace")]) == 2
         assert "no such file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_max_deltas_below_one_rejected(self, captured_trace, capsys,
+                                           value):
+        assert main(["trace-diff", captured_trace, captured_trace,
+                     "--max-deltas", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"--max-deltas must be at least 1 (got {value})" \
+            in captured.err
+
+    def test_max_deltas_one_accepted(self, captured_trace, capsys):
+        assert main(["trace-diff", captured_trace, captured_trace,
+                     "--max-deltas", "1"]) == 0
+        assert "identical" in capsys.readouterr().out
+
 
 class TestTimelineRename:
     @pytest.fixture

@@ -5,6 +5,9 @@ for the scalar event decoder over one ``LAUNCH .. KEND`` frame slice —
 same columns to the bit whenever the vector path runs, the scalar
 walk's canonical :class:`TraceFormatError` on corrupt input, and an
 ``None`` (events-mode) fallback only for values that exceed int64.
+:func:`repro.trace.io.decode_frame_run` decodes many frames in one
+pass and must equal decoding them one at a time, fallbacks and errors
+included.
 """
 
 from __future__ import annotations
@@ -27,13 +30,16 @@ from repro.trace.format import (
     decode_varint_stream,
     encode_event,
 )
+import repro.trace.io as io_mod
 from repro.trace.io import (
+    FrameColumns,
     TraceReader,
     TraceWriter,
+    _columns_run,
     _columns_scalar,
-    _columns_vector,
-    _decode_varints,
+    _varint_values,
     decode_frame_columns,
+    decode_frame_run,
 )
 from repro.trace.index import ensure_index
 
@@ -147,12 +153,14 @@ def test_vector_walk_matches_scalar_walk(launch, records):
 
     _, pos = decode_event(tag, blob, pos, EncoderState())
     tokens = decode_varint_stream(blob, pos)
-    tok = _decode_varints(blob, pos)
-    assert tok is not None
+    decoded = _varint_values(np.frombuffer(blob, dtype=np.uint8,
+                                           offset=pos))
+    assert decoded is not None
+    tok, _ = decoded
     assert tok.tolist() == tokens
-    vec = _columns_vector(tok)
+    (vec,) = _columns_run(tok, np.array([0, tok.size]))
     scal = _columns_scalar(tokens)
-    assert vec is not None and scal is not None
+    assert scal is not None
     for v, s in zip(vec, scal):
         assert v.tolist() == s.tolist()
 
@@ -302,3 +310,154 @@ def test_corrupt_frame_bytes_fail_crc_before_decode(tmp_path):
     reader = TraceReader(path)
     with pytest.raises(TraceFormatError, match="checksum"):
         list(reader.frames(index))
+
+
+# ------------------------------------------------------ batched decoding
+
+def assert_same_columns(got, want):
+    """Two decodes of one frame agree column for column."""
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got.launch == want.launch
+    assert got.events == want.events
+    assert got.warp_instructions == want.warp_instructions
+    for name in FrameColumns.__slots__[3:]:
+        column = getattr(got, name)
+        assert column.dtype == np.int64, name
+        assert column.tolist() == getattr(want, name).tolist(), name
+
+
+def decode_outcome(decode, frames):
+    """The decoded frames, or the error message decoding raised."""
+    try:
+        return decode(frames), None
+    except TraceFormatError as exc:
+        return None, str(exc)
+
+
+def frame_by_frame(frames):
+    return [decode_frame_columns(data) for data in frames]
+
+
+many_frames = st.lists(
+    st.tuples(launch_events(I64_SAFE),
+              st.lists(record_events(I64_SAFE), max_size=8)),
+    min_size=32, max_size=40)
+
+
+@given(many_frames)
+@settings(max_examples=25, deadline=None)
+def test_run_of_many_frames_matches_frame_by_frame(frames):
+    """A run of 32+ frames decodes in one pass to exactly the columns of
+    per-frame decoding: the delta chains restart at every frame."""
+    blobs = [frame_bytes(launch, records) for launch, records in frames]
+    batched = decode_frame_run(blobs)
+    assert len(batched) == len(blobs)
+    for got, want, (launch, records) in zip(batched, frame_by_frame(blobs),
+                                            frames):
+        assert_same_columns(got, want)
+        assert_frame_matches(got, launch, records)
+
+
+@given(many_frames, st.data())
+@settings(max_examples=15, deadline=None)
+def test_run_with_a_declined_frame_falls_back_like_frame_by_frame(frames,
+                                                                  data):
+    """One frame with a value beyond int64 makes the vector path decline
+    the run; the result still matches frame by frame — ``None`` for that
+    frame, exact columns for the rest."""
+    at = data.draw(st.integers(0, len(frames) - 1))
+    launch, records = frames[at]
+    frames = list(frames)
+    frames[at] = (launch, list(records) + [
+        InstrEvent(ins_addr=U64_MAX, opcode=1, lanes=32, width=0)])
+    blobs = [frame_bytes(launch, records) for launch, records in frames]
+    batched = decode_frame_run(blobs)
+    assert batched[at] is None
+    for got, want in zip(batched, frame_by_frame(blobs)):
+        assert_same_columns(got, want)
+
+
+@given(many_frames, st.data())
+@settings(max_examples=40, deadline=None)
+def test_run_with_a_corrupt_frame_fails_like_frame_by_frame(frames, data):
+    """Truncating or flipping bytes of any frames in a run raises the
+    same TraceFormatError as decoding the frames one at a time (the
+    first bad frame's, in run order), or decodes to the same columns."""
+    blobs = [frame_bytes(launch, records) for launch, records in frames]
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(blobs) - 1))
+        blob = bytearray(blobs[at])
+        if data.draw(st.booleans()):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            index = data.draw(st.integers(0, len(blob) - 1))
+            blob[index] ^= data.draw(st.integers(1, 255))
+        blobs[at] = bytes(blob)
+    batched, batched_error = decode_outcome(decode_frame_run, blobs)
+    single, single_error = decode_outcome(frame_by_frame, blobs)
+    assert batched_error == single_error
+    if single is not None:
+        for got, want in zip(batched, single):
+            assert_same_columns(got, want)
+
+
+def test_no_frame_in_a_run_borrows_from_the_next():
+    """Corruption that only parses across a frame edge must fail as it
+    does frame by frame: a record cut short whose tail the next frame's
+    tokens would complete, and an unterminated last varint that a
+    corrupt next frame's first byte would terminate."""
+    launch = LaunchEvent(kernel="k", grid=(1, 1, 1), block=(32, 1, 1),
+                         launch_index=0)
+    # KEND without its count; the follower's tokens 3,2,2,2,2,2,2 read
+    # on from the second one as three whole KEND records
+    cut_record = frame_bytes(launch, [
+        InstrEvent(ins_addr=8, opcode=1, lanes=32, width=0),
+        KernelEndEvent(warp_instructions=9)])[:-1]
+    follower = frame_bytes(launch, [
+        InstrEvent(ins_addr=1, opcode=2, lanes=2, width=2),
+        KernelEndEvent(warp_instructions=2)])
+    # 0x82 continues into the next frame, where 0x00 ends it as tag 2
+    cut_varint = frame_bytes(launch, [
+        KernelEndEvent(warp_instructions=5)]) + b"\x82"
+    completer = frame_bytes(launch, []) + b"\x00\x07"
+    for frames in ([cut_record, follower], [cut_varint, completer]):
+        outcome = decode_outcome(decode_frame_run, frames)
+        assert outcome[1] is not None
+        assert outcome == decode_outcome(frame_by_frame, frames)
+
+
+def test_frame_runs_respect_the_byte_budget(tmp_path, monkeypatch):
+    """Runs hold frames that sit back to back in the file, at most
+    RUN_BYTES long unless a single frame is larger, and cover the
+    requested entries in order."""
+    path = str(tmp_path / "t.rptrace")
+    with TraceWriter(path) as writer:
+        for n in range(40):
+            writer.write(LaunchEvent(kernel="k", grid=(1, 1, 1),
+                                     block=(32, 1, 1), launch_index=n))
+            for i in range(n % 7):
+                writer.write(InstrEvent(ins_addr=8 * i, opcode=1, lanes=32,
+                                        width=0))
+            writer.write(KernelEndEvent(warp_instructions=n % 7))
+    index = ensure_index(path)
+    monkeypatch.setattr(io_mod, "RUN_BYTES", 64)
+    reader = TraceReader(path)
+    wanted = [e for n, e in enumerate(index.entries) if n % 5 != 2]
+    runs = list(reader.frame_runs(wanted))
+    assert [entry for run in runs for entry, _ in run] == wanted
+    assert 1 < len(runs) < len(wanted)
+    for run in runs:
+        first, last = run[0][0], run[-1][0]
+        assert (len(run) == 1
+                or last.offset + last.length - first.offset <= 64)
+        for (entry, data), (following, _) in zip(run, run[1:]):
+            assert following.offset == entry.offset + entry.length
+        for entry, data in run:
+            assert data == reader.read_frame(entry)
+    decoded = list(reader.frame_columns(wanted))
+    for (entry, data, frame), want in zip(decoded, wanted):
+        assert entry == want
+        assert_same_columns(frame, decode_frame_columns(data))

@@ -13,7 +13,9 @@ no-skip gate.
 
 from __future__ import annotations
 
+import importlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -93,6 +95,59 @@ def test_columnar_replay_counts_every_event(captured, streaming_baseline):
     assert counters["trace.replay.events"] == manifest.total_events
     assert counters.get("trace.replay.decode_ns", 0) > 0
     assert counters.get("trace.replay.analyze_ns", 0) > 0
+
+
+def test_replay_timers_account_for_the_whole_pass(captured, monkeypatch):
+    """Under batched decode, ``decode_ns`` (reading and decoding) and
+    ``analyze_ns`` (the feeds) tile the columnar pass: with a fake
+    clock that each decode run and each feed advance by a known step,
+    the two counters add up to the whole pass, each with its own work."""
+    import repro.trace.io as io_mod
+
+    # the package re-exports a function named ``replay``
+    replay_mod = importlib.import_module("repro.trace.replay")
+    readings = []
+    now = [0]
+
+    def clock():
+        now[0] += 1
+        readings.append(now[0])
+        return now[0]
+
+    decode_run = io_mod.decode_frame_run
+    runs = []
+
+    def slow_decode_run(frames):
+        runs.append(len(frames))
+        now[0] += 10 ** 9
+        return decode_run(frames)
+
+    analysis = make_analysis("opcodes")
+    feed = analysis.feed_columns
+
+    def slow_feed(frame):
+        now[0] += 10 ** 6
+        feed(frame)
+
+    analysis.feed_columns = slow_feed
+    monkeypatch.setattr(replay_mod, "time",
+                        SimpleNamespace(perf_counter_ns=clock))
+    monkeypatch.setattr(io_mod, "decode_frame_run", slow_decode_run)
+    TELEMETRY.enable(reset=True)
+    try:
+        replay(captured, [analysis])
+        counters = dict(TELEMETRY.counters)
+    finally:
+        TELEMETRY.disable()
+        TELEMETRY.reset()
+    frames = ensure_index(captured).launches
+    assert sum(runs) == frames
+    decode = counters["trace.replay.decode_ns"]
+    analyze = counters["trace.replay.analyze_ns"]
+    assert decode + analyze == readings[-1] - readings[0]
+    # the clock's own ticks are the only slack
+    assert 0 < decode - len(runs) * 10 ** 9 < len(readings)
+    assert 0 < analyze - frames * 10 ** 6 < len(readings)
 
 
 @pytest.mark.parametrize("jobs", JOB_COUNTS)

@@ -3,9 +3,14 @@ exactly, and error-injection sidecars from different seeds diverge."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+import repro.trace.diff as diff_mod
+from repro.telemetry import TELEMETRY
 from repro.trace import TraceWriter, capture_workload, diff_traces
+from repro.trace.index import index_path_for
 from repro.trace.format import (
     BranchEvent,
     InstrEvent,
@@ -82,6 +87,77 @@ class TestSyntheticDiff:
         # totals still reflect the full traces
         assert diff.events_a == diff.events_b == 50
         assert "10+" in diff.report()
+
+
+def _framed(opcodes):
+    """One launch frame holding one instruction per opcode."""
+    return ([BASE[0]]
+            + [InstrEvent(ins_addr=0x100 + 16 * i, opcode=op, lanes=32,
+                          width=0) for i, op in enumerate(opcodes)]
+            + [KernelEndEvent(warp_instructions=len(opcodes))])
+
+
+def _pair(tmp_path, differing, columnar, monkeypatch):
+    """Two 20-instruction traces whose first *differing* instructions
+    differ.  With *columnar* the sidecars stay and the event walk is
+    made to fail, so the columnar path must answer; without it the
+    sidecars are deleted, which forces the walk."""
+    a, b = str(tmp_path / "a.rptrace"), str(tmp_path / "b.rptrace")
+    _write(a, _framed([1] * 20))
+    _write(b, _framed([2] * differing + [1] * (20 - differing)))
+    if columnar:
+        def no_walk(*args):
+            raise AssertionError("columnar diff fell back to the walk")
+        monkeypatch.setattr(diff_mod, "_diff_events", no_walk)
+    else:
+        os.remove(index_path_for(a))
+        os.remove(index_path_for(b))
+    return a, b
+
+
+@pytest.mark.parametrize("columnar", [True, False],
+                         ids=["columnar", "walk"])
+class TestDeltaTruncation:
+    def test_exactly_max_deltas_is_not_truncated(self, tmp_path,
+                                                 monkeypatch, columnar):
+        a, b = _pair(tmp_path, 10, columnar, monkeypatch)
+        diff = diff_traces(a, b, max_deltas=10)
+        assert diff.deltas == 10
+        assert not diff.deltas_truncated
+        assert "10 differing events" in diff.report()
+        assert "10+" not in diff.report()
+
+    def test_one_past_max_deltas_is_truncated(self, tmp_path, monkeypatch,
+                                              columnar):
+        a, b = _pair(tmp_path, 11, columnar, monkeypatch)
+        diff = diff_traces(a, b, max_deltas=10)
+        assert diff.deltas == 10
+        assert diff.deltas_truncated
+        assert "10+ differing events" in diff.report()
+        assert diff.events_a == diff.events_b == 22
+
+    def test_telemetry_span_and_event_count(self, tmp_path, monkeypatch,
+                                            columnar):
+        a, b = _pair(tmp_path, 3, columnar, monkeypatch)
+        TELEMETRY.enable(reset=True)
+        try:
+            diff = diff_traces(a, b)
+            counters = dict(TELEMETRY.counters)
+            roots = [root.name for root in TELEMETRY.roots]
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        assert "trace.diff" in roots
+        assert counters["trace.diff.events"] == \
+            diff.events_a + diff.events_b == 44
+
+
+@pytest.mark.parametrize("bad", [0, -5])
+def test_max_deltas_below_one_rejected(tmp_path, bad):
+    a = str(tmp_path / "a.rptrace")
+    _write(a, BASE)
+    with pytest.raises(ValueError, match="at least 1"):
+        diff_traces(a, a, max_deltas=bad)
 
 
 class TestCapturedDiff:
