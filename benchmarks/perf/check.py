@@ -39,6 +39,7 @@ SMOKE_WORKLOADS = ["rodinia/nn", "rodinia/pathfinder"]
 INSTRUMENTED_SMOKE = [
     ("branch_profiler", "rodinia/nn"),
     ("opcode_histogram", "rodinia/nn"),
+    ("capture", "rodinia/nn"),
 ]
 
 

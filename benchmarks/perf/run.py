@@ -25,6 +25,7 @@ Results merge into ``BENCH_executor.json``::
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -38,13 +39,15 @@ DEFAULT_WORKLOADS = [
     "parboil/spmv(small)",
 ]
 
-#: the five stock handlers of the instrumented-run benches
+#: the five stock handlers of the instrumented-run benches, and trace
+#: capture (``TraceRecorder`` into an in-memory trace)
 INSTRUMENTED_HANDLERS = [
     "branch_profiler",
     "memory_divergence",
     "opcode_histogram",
     "value_profiler",
     "memtrace",
+    "capture",
 ]
 
 DEFAULT_INSTRUMENTED_WORKLOADS = ["rodinia/nn", "rodinia/pathfinder"]
@@ -110,7 +113,8 @@ def instrumented_scalar_config():
 
 
 def make_profiler(handler: str, device, vectorized: bool = True):
-    """Construct one of the five stock profilers on *device*."""
+    """Construct one of the five stock profilers, or a trace recorder,
+    on *device*."""
     if handler == "branch_profiler":
         from repro.handlers.branch_profiler import BranchProfiler
         return BranchProfiler(device, vectorized=vectorized)
@@ -126,6 +130,11 @@ def make_profiler(handler: str, device, vectorized: bool = True):
     if handler == "memtrace":
         from repro.handlers.memtrace import MemoryTracer
         return MemoryTracer(device, vectorized=vectorized)
+    if handler == "capture":
+        from repro.trace.capture import TraceRecorder
+        from repro.trace.io import TraceWriter
+        return TraceRecorder(device, TraceWriter(io.BytesIO()),
+                             vectorized=vectorized)
     raise KeyError(f"unknown handler {handler!r}")
 
 
@@ -263,8 +272,8 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--instrumented", action="store_true",
                         help="also measure the five stock handlers "
-                             "(fast vs per-lane scalar path) on the "
-                             "instrumented workloads")
+                             "and trace capture (fast vs per-lane scalar "
+                             "path) on the instrumented workloads")
     parser.add_argument("--instrumented-workloads", nargs="*",
                         default=DEFAULT_INSTRUMENTED_WORKLOADS)
     parser.add_argument("--handlers", nargs="*",

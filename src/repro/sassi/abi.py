@@ -346,19 +346,36 @@ def _emit_register_metadata(seq: List[Instruction], instr: Instruction,
 # The injected sequences above are rigid by construction: straight-line
 # spills, immediate field initializers, one address computation, one
 # JCAL, and the mirrored restores.  ``compile_site_plan`` pattern-matches
-# a decoded instruction run back into that shape at decode time and
-# precomputes everything a per-instruction interpreter would rediscover
-# on every dynamic execution: the frame image's static bytes, the byte
-# columns every STL touches (one fancy-index scatter instead of ~20
-# ``Memory.write`` loops), the fill columns of the restores (one gather),
-# and the per-site stats/telemetry cost splits (spill / fill /
-# save_restore / param_marshal — identical to per-record
-# ``sassi_key`` classification, which tests enforce).
+# a decoded instruction run back into that shape at decode time, and
+# ``SiteSequencePlan`` splits it statically, so that a firing of a
+# 23-56 instruction sequence costs about thirty array operations:
+#
+# * every spill or field store of a register the sequence has not yet
+#   rewritten joins one row gather (``regs[rows]``) into the frame
+#   image;
+# * every store of an immediate folds into the image's static words,
+#   and the final immediate register writes become one constant-row
+#   store;
+# * only the value-computing ops stay in a per-op loop — argument
+#   pointers, address arithmetic, the carry chain, guard-flag pairs and
+#   ``P2R`` (one weighted sum): three to seven per site — and each
+#   writes its result straight into its image row;
+# * one word scatter writes the image for every lane, and after the
+#   handler one word gather reads every fill slot back: the fills
+#   become one row store (the last fill of a register wins), each
+#   ``R2P`` one broadcast store and each carry restore one compare,
+#   reading their input from the fill slot just before them.
+#
+# A full-warp firing indexes whole rows, with no lane gather at all.
+# The per-site stats/telemetry cost splits (spill / fill / save_restore
+# / param_marshal) are precomputed too, identical to per-record
+# ``sassi_key`` classification (tests enforce it).
 #
 # Anything that does not match — predicated original sites beyond the
-# Figure 2 guard-flag pair, exotic register indices, out-of-frame stack
-# pointers at run time — falls back to the per-instruction path, which
-# stays authoritative.
+# Figure 2 guard-flag pair, exotic register indices or unaligned frame
+# offsets; at run time, stack pointers that differ across the warp,
+# are unaligned or put the frame outside the local window — falls back
+# to the per-instruction path, which stays authoritative.
 
 
 def _gpr_index(operand) -> Optional[int]:
@@ -381,23 +398,44 @@ def _local_ref(operand) -> Optional[MemRef]:
     return None
 
 
+#: ``P2R`` packs P0..P6 as one weighted sum over the predicate rows
+_P2R_WEIGHTS = np.uint32(1) << np.arange(7, dtype=np.uint32)
+
+#: the ``SASSIBeforeParams`` fields a site's frame image holds as
+#: constants, handed to the handler binding so it need not read them
+#: back from simulated memory
+_FRAME_CONSTANT_FIELDS = (P.BP_ID, P.BP_FN_ADDR, P.BP_INS_OFFSET,
+                          P.BP_INS_ENCODING)
+
+
+def _rows(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64)
+
+
 class SiteSequencePlan:
     """One instrumentation site's call sequence, compiled to array ops.
 
-    ``execute`` replays the whole sequence for the active lanes with a
-    handful of vectorized operations and invokes the handler binding
+    ``execute`` replays the whole sequence for the active lanes with
+    about thirty array operations and invokes the handler binding
     exactly as ``JCAL`` would.  It returns the number of
     ``divergence.partial_dispatch`` telemetry increments the per-record
     path would have made (guard-flag pairs at predicated sites), or
     ``None`` when a run-time precondition fails and the caller must
     fall back to per-instruction execution *before any state changed*.
+
+    While the binding runs, ``ex._site_hint`` holds the firing's
+    active-lane indices and :attr:`frame_constants`, so the handler
+    context skips recomputing the lanes and reading the site key back
+    from the frame.
     """
 
     __slots__ = ("start", "records", "frame", "jcal_addr", "jcal_index",
-                 "ops", "post_ops", "template", "store_cols", "fill_cols",
-                 "max_touch", "max_reg", "length", "n_pairs",
-                 "thread_weight", "opcode_counts", "issue_cycles",
-                 "telemetry_counts", "n_fills", "site_id")
+                 "template", "store_words", "gather_rows", "gather_pos",
+                 "value_ops", "const_rows", "const_values", "fill_words",
+                 "fill_rows", "fill_reads", "frame_constants", "max_touch",
+                 "max_reg", "length", "n_pairs", "thread_weight",
+                 "opcode_counts", "issue_cycles", "telemetry_counts",
+                 "site_id")
 
     def __init__(self, start, records, frame, jcal_addr, jcal_index, ops,
                  post_ops, template, store_cols, fill_cols, max_reg,
@@ -411,16 +449,12 @@ class SiteSequencePlan:
         self.frame = frame
         self.jcal_addr = jcal_addr
         self.jcal_index = jcal_index
-        self.ops = ops
-        self.post_ops = post_ops
-        self.template = template
-        self.store_cols = store_cols
-        self.fill_cols = fill_cols
-        self.n_fills = fill_cols.size // 4
-        touch = [int(store_cols.max()) + 1] if store_cols.size else [0]
-        if fill_cols.size:
-            touch.append(int(fill_cols.max()) + 1)
-        self.max_touch = max(touch)
+        # the frame as words: every injected STL/LDL is word-aligned
+        self.store_words = store_cols[::4] // 4
+        self._split_pre_call(ops, template)
+        self._split_post_call(post_ops, fill_cols[::4] // 4)
+        touched = np.concatenate([self.store_words, self.fill_words])
+        self.max_touch = 4 * (int(touched.max()) + 1) if touched.size else 0
         self.max_reg = max_reg
         self.length = len(records)
         self.n_pairs = n_pairs
@@ -435,6 +469,95 @@ class SiteSequencePlan:
         self.opcode_counts = counts
         self.issue_cycles = block_issue_cycles(dec.opcode for dec in records)
         self.telemetry_counts = block_dispatch_counts(records)
+
+    # ----------------------------------------------------- static split
+
+    def _split_pre_call(self, ops, template: bytearray) -> None:
+        """Sort the pre-call ops by where each stored word comes from:
+        the original register file (one gather), an immediate (the
+        frame image's static bytes), or a value op's result."""
+        last: dict = {}          # reg -> ("const", value) | ("val", op#)
+        gather_rows: List[int] = []
+        gather_pos: List[int] = []
+        stored: List[Tuple[int, int]] = []        # (word, value op#)
+        value_ops: list = []
+        for op in ops:
+            kind = op[0]
+            if kind in ("st", "st64"):
+                _, pos, reg = op
+                for word, src in enumerate((reg, reg + 1) if kind == "st64"
+                                           else (reg,)):
+                    word += pos // 4
+                    source = last.get(src)
+                    if source is None:
+                        gather_rows.append(src)
+                        gather_pos.append(word)
+                    elif source[0] == "const":
+                        template[4 * word:4 * word + 4] = \
+                            source[1].to_bytes(4, "little")
+                    else:
+                        stored.append((word, source[1]))
+            elif kind == "imm":
+                last[op[1]] = ("const", op[2])
+            else:
+                if op[1] is not None:
+                    last[op[1]] = ("val", len(value_ops))
+                value_ops.append(op)
+        # each value op carries the image words its result is stored to
+        stores_of: dict = {}
+        for word, op_index in stored:
+            stores_of.setdefault(op_index, []).append(word)
+        self.value_ops = [op + (tuple(stores_of.get(index, ())),)
+                          for index, op in enumerate(value_ops)]
+        self.gather_rows = _rows(gather_rows)
+        self.gather_pos = _rows(gather_pos)
+        final_consts = sorted((reg, source[1]) for reg, source in last.items()
+                              if source[0] == "const")
+        self.const_rows = _rows([reg for reg, _ in final_consts])
+        self.const_values = np.asarray(
+            [[value] for _, value in final_consts], dtype=np.uint32)
+        words = np.frombuffer(bytes(template), dtype="<u4")
+        self.template = words[:, None]
+        computed = set(gather_pos) | {word for word, _ in stored}
+        constants = {}
+        for offset in _FRAME_CONSTANT_FIELDS:
+            hits = np.nonzero(self.store_words == offset // 4)[0]
+            if hits.size and int(hits[0]) not in computed:
+                constants[(offset, 4)] = int(words[hits[0]])
+        #: ``{(frame offset, 4): value}`` of the before-params fields
+        #: the image holds as constants (the views' static-read keys)
+        self.frame_constants = constants
+
+    def _split_post_call(self, post_ops, fill_words: np.ndarray) -> None:
+        """Reduce the restores to one fill gather, one row store (the
+        last fill of each register wins) and the ``R2P``/carry restores,
+        each reading the fill slot just before it (or, with none, the
+        register as the handler left it)."""
+        latest: dict = {}        # reg -> fill slot, as of this point
+        reads: list = []         # (kind, source slot or None, src, arg)
+        for op in post_ops:
+            kind = op[0]
+            if kind == "fill":
+                latest[op[1]] = op[2]
+            elif kind == "r2p":
+                _, src, maskval = op
+                bits = _rows([i for i in range(7) if maskval & (1 << i)])
+                reads.append(("r2p", latest.get(src), src, bits))
+            else:  # "ccres"
+                reads.append(("ccres", latest.get(op[1]), op[1], None))
+        # keep only the slots something reads, final fills first
+        fill_rows = sorted(latest)
+        slots = [latest[reg] for reg in fill_rows]
+        for _, slot, _, _ in reads:
+            if slot is not None and slot not in slots:
+                slots.append(slot)
+        new_slot = {slot: index for index, slot in enumerate(slots)}
+        self.fill_rows = _rows(fill_rows)
+        self.fill_reads = [
+            (kind, None if slot is None else new_slot[slot], src,
+             arg, None if arg is None else arg[:, None].astype(np.uint32))
+            for kind, slot, src, arg in reads]
+        self.fill_words = fill_words[_rows(slots)]
 
     def sassi_cost_split(self) -> dict:
         """The site's injected-overhead split by telemetry bucket."""
@@ -454,61 +577,55 @@ class SiteSequencePlan:
                 or self.jcal_addr not in ex.device.handler_bindings:
             return None
         regs = warp.regs
-        r1 = regs[1][g_idx]
-        sp = r1.astype(np.int64) - self.frame
+        full = n == regs.shape[1]
+        # ``sel`` indexes a lane row: whole rows on full-warp firings
+        sel = slice(None) if full else g_idx
+        r1 = regs[1, sel].copy()
+        # the image moves as whole words, so every lane's frame must sit
+        # at one aligned offset (R1 is warp-uniform in practice)
+        sp = int(r1.min()) - self.frame
         block = cta.local_block()
-        if int(sp.min()) < 0 or int(sp.max()) + self.max_touch > block.shape[1]:
+        if sp < 0 or sp & 3 or int(r1.max()) - self.frame != sp \
+                or sp + self.max_touch > block.shape[1] \
+                or block.shape[1] & 3:
             return None
-        tids = warp.lane_thread_ids[g_idx]
-        # the opening IADD already lowered R1 as far as the rest of the
-        # sequence is concerned
-        env: dict = {1: (r1 - np.uint32(self.frame))}
-        cc = None
-        cc_dirty = False
+        image = block.view("<u4")
+        lanes = warp.lane_rows if full \
+            else warp.lane_thread_ids[g_idx][:, None]
+        # the opening IADD lowers R1 for the rest of the sequence
+        regs[1, sel] = r1 - np.uint32(self.frame)
+        # the frame image, one row per word
+        words = np.empty((self.template.size, n), dtype="<u4")
+        words[:] = self.template
+        if self.gather_rows.size:
+            words[self.gather_pos] = regs[self.gather_rows] if full \
+                else regs[self.gather_rows[:, None], g_idx]
+
+        carry = warp.carry
+        preds = warp.preds
         partial = 0
-        payload = np.empty((n, self.template.size), dtype=np.uint8)
-        payload[:] = self.template
-
-        def read(reg):
-            value = env.get(reg)
-            if value is None:
-                return regs[reg][g_idx]
-            return value
-
-        for op in self.ops:
+        for op in self.value_ops:
             kind = op[0]
-            if kind == "st":
-                _, pos, src = op
-                payload[:, pos:pos + 4] = _le_bytes4(read(src), n)
-            elif kind == "st64":
-                _, pos, lo = op
-                payload[:, pos:pos + 4] = _le_bytes4(read(lo), n)
-                payload[:, pos + 4:pos + 8] = _le_bytes4(read(lo + 1), n)
+            if kind == "orc":
+                _, dst, src, cref, stores = op
+                value = regs[src, sel] | ex._read(warp, cref)
             elif kind == "add":
-                _, dst, src, imm = op
-                env[dst] = read(src) + np.uint32(imm)
-            elif kind == "imm":
-                _, dst, value = op
-                env[dst] = np.uint32(value)
+                _, dst, src, imm, stores = op
+                value = regs[src, sel] + np.uint32(imm)
             elif kind == "addcc":
-                _, dst, src, imm = op
-                a = read(src) if src is not None \
+                _, dst, src, imm, stores = op
+                a = regs[src, sel] if src is not None \
                     else np.zeros(n, dtype=np.uint32)
-                result = a + np.uint32(imm)
-                cc = result < a
-                cc_dirty = True
-                if dst is not None:
-                    env[dst] = result
+                value = a + np.uint32(imm)
+                carry[sel] = value < a
             elif kind == "addx":
-                _, dst, src = op
-                a = read(src) if src is not None \
-                    else np.zeros(n, dtype=np.uint32)
-                if cc is None:
-                    cc = warp.carry[g_idx]
-                env[dst] = a + cc.astype(np.uint32)
+                _, dst, src, stores = op
+                value = carry[sel].astype(np.uint32)
+                if src is not None:
+                    value += regs[src, sel]
             elif kind == "guard":
-                _, dst, pred_index, negated, v_pass, v_fail = op
-                row = warp.preds[pred_index][g_idx]
+                _, dst, pred_index, negated, v_pass, v_fail, stores = op
+                row = preds[pred_index, sel]
                 if negated:
                     row = ~row
                 passing = int(np.count_nonzero(row))
@@ -516,66 +633,57 @@ class SiteSequencePlan:
                     partial += 1
                 if passing > 0:
                     partial += 1
-                env[dst] = np.where(row, np.uint32(v_pass),
-                                    np.uint32(v_fail))
+                value = np.where(row, np.uint32(v_pass), np.uint32(v_fail))
             elif kind == "p2r":
-                _, dst, maskval = op
-                packed = np.zeros(n, dtype=np.uint32)
-                preds = warp.preds
-                for index in range(7):
-                    packed |= preds[index][g_idx].astype(np.uint32) \
-                        << np.uint32(index)
-                env[dst] = packed & np.uint32(maskval)
-            elif kind == "orc":
-                _, dst, src, cref = op
-                env[dst] = read(src) | ex._read(warp, cref)
+                _, dst, maskval, stores = op
+                value = (_P2R_WEIGHTS @ preds[:7, sel]) & np.uint32(maskval)
             else:  # "ori"
-                _, dst, src, imm = op
-                env[dst] = read(src) | np.uint32(imm)
+                _, dst, src, imm, stores = op
+                value = regs[src, sel] | np.uint32(imm)
+            if dst is not None:
+                regs[dst, sel] = value
+            for word in stores:
+                words[word] = value
+        if self.const_rows.size:
+            if full:
+                regs[self.const_rows] = self.const_values
+            else:
+                regs[self.const_rows[:, None], g_idx] = self.const_values
 
         # one scatter writes the whole frame image for every lane
-        block[tids[:, None], sp[:, None] + self.store_cols[None, :]] = payload
-        # architectural state at the call: R1 moved, argument regs live
-        for reg, value in env.items():
-            regs[reg][g_idx] = value
-        if cc_dirty:
-            warp.carry[g_idx] = cc
+        image[lanes, (sp >> 2) + self.store_words] = words.T
 
         ex.stats.handler_calls += 1
         warp.pc = self.jcal_index
-        ex.device.handler_bindings[self.jcal_addr](ex, warp, cta, g)
+        ex._site_hint = (g_idx, self.frame_constants)
+        try:
+            ex.device.handler_bindings[self.jcal_addr](ex, warp, cta, g)
+        finally:
+            ex._site_hint = None
 
         # restores: gather every fill slot back in one pass (the handler
         # may have rewritten the frame — SetRegValue / write-back)
-        if self.fill_cols.size:
-            raw = block[tids[:, None], sp[:, None] + self.fill_cols[None, :]]
-            filled = np.ascontiguousarray(raw).view(np.uint32)
-        for op in self.post_ops:
-            kind = op[0]
-            if kind == "fill":
-                _, reg, slot = op
-                regs[reg][g_idx] = filled[:, slot]
-            elif kind == "r2p":
-                _, src, maskval = op
-                value = regs[src][g_idx]
-                for index in range(7):
-                    if maskval & (1 << index):
-                        warp.preds[index][g_idx] = \
-                            ((value >> np.uint32(index)) & 1).astype(bool)
+        if self.fill_words.size:
+            filled = image[lanes, (sp >> 2) + self.fill_words]
+        for kind, slot, src, bits, shifts in self.fill_reads:
+            value = filled[:, slot] if slot is not None else regs[src, sel]
+            if kind == "r2p":
+                flags = ((value >> shifts) & 1).astype(bool)
+                if full:
+                    preds[bits] = flags
+                else:
+                    preds[bits[:, None], g_idx] = flags
             else:  # "ccres": IADD RZ, Rcc, -1 (CC) — carry = value != 0
-                warp.carry[g_idx] = regs[op[1]][g_idx] != 0
-        regs[1][g_idx] = r1
+                carry[sel] = value != 0
+        if self.fill_rows.size:
+            rows = filled[:, :self.fill_rows.size].T
+            if full:
+                regs[self.fill_rows] = rows
+            else:
+                regs[self.fill_rows[:, None], g_idx] = rows
+        regs[1, sel] = r1
         warp.pc = self.start + self.length
         return partial
-
-
-def _le_bytes4(value, n: int):
-    """A uint32 row (or scalar) as little-endian bytes, broadcastable to
-    a ``(n, 4)`` payload segment."""
-    if isinstance(value, np.ndarray):
-        return np.ascontiguousarray(value, dtype="<u4") \
-            .view(np.uint8).reshape(n, 4)
-    return np.frombuffer(np.uint32(value).tobytes(), dtype=np.uint8)
 
 
 def compile_site_plan(records, start: int, handler_base: int):
@@ -611,7 +719,8 @@ def compile_site_plan(records, start: int, handler_base: int):
     def add_store(offset, width):
         nonlocal template, store_cols
         span = range(offset, offset + width)
-        if covered.intersection(span) or offset + width > frame:
+        if offset % 4 or covered.intersection(span) \
+                or offset + width > frame:
             return None
         covered.update(span)
         pos = len(store_cols)
@@ -724,7 +833,7 @@ def compile_site_plan(records, start: int, handler_base: int):
                 dst = _gpr_index(dec.dsts[0]) if dec.dsts else None
                 ref = _local_ref(dec.srcs[0]) if dec.srcs else None
                 if dst is None or ref is None or dec.mods \
-                        or ref.offset + 4 > frame:
+                        or ref.offset % 4 or ref.offset + 4 > frame:
                     return None
                 track(dst)
                 slot = len(fill_cols) // 4
@@ -754,10 +863,14 @@ def compile_site_plan(records, start: int, handler_base: int):
                     plan_records = records[start:index + 1]
                     if any(not rec.sassi for rec in plan_records):
                         return None
+                    # every [R1 + offset] of the sequence is relative to
+                    # the one stack pointer the opening IADD set up
+                    if any(op[0] not in ("st", "st64") and op[1] == 1
+                           for op in ops + post_ops):
+                        return None
                     return SiteSequencePlan(
                         start, plan_records, frame, jcal_addr,
-                        jcal_index, ops, post_ops,
-                        np.frombuffer(bytes(template), dtype=np.uint8),
+                        jcal_index, ops, post_ops, template,
                         np.asarray(store_cols, dtype=np.int64),
                         np.asarray(fill_cols, dtype=np.int64),
                         max_reg, n_pairs, site_id)

@@ -366,7 +366,15 @@ class SassiRuntime:
         invocations_key = f"handler.invocations.{registration.name}"
 
         def binding(executor, warp, cta, mask):
-            ctx = self._build_context(executor, warp, cta, mask, where)
+            # a compiled site plan hands over the lanes and the frame's
+            # constant fields; the per-record JCAL path derives them
+            hint = getattr(executor, "_site_hint", None)
+            if hint is None:
+                lanes, constants = np.nonzero(mask)[0], None
+            else:
+                lanes, constants = hint
+            ctx = self._build_context(executor, warp, cta, mask, where,
+                                      lanes, constants)
             telemetry = TELEMETRY
             if telemetry.enabled:
                 telemetry.incr(invocations_key)
@@ -379,13 +387,16 @@ class SassiRuntime:
             else:
                 invoke(ctx)
             if self.poison_caller_saved:
-                self._poison(warp, mask)
+                self._poison(warp, lanes)
 
         return binding
 
-    def _build_context(self, executor, warp, cta, mask,
-                       where: Where) -> SASSIContext:
-        lanes = np.nonzero(mask)[0]
+    def _build_context(self, executor, warp, cta, mask, where: Where,
+                       lanes, constants=None) -> SASSIContext:
+        """The handler's context over active lanes *lanes*.  With
+        *constants* (``{(offset, 4): value}`` of the frame's constant
+        before-params fields) the site key is served without reading
+        the frame back."""
         lane0 = int(lanes[0])
         pointer = int(warp.regs[4, lane0]) \
             | (int(warp.regs[5, lane0]) << 32)
@@ -395,7 +406,7 @@ class SassiRuntime:
             else SASSIBeforeParams
         shared_mask = mask.copy()
         bp = view_cls(executor, warp, cta, shared_mask, base,
-                      lanes=lanes, vectorized=vec)
+                      lanes=lanes, vectorized=vec, constants=constants)
         site_key = (bp.GetFnAddr(), bp.GetInsOffset(), where)
         site = self._site_cache.get(site_key)
         if site is None:
@@ -428,12 +439,15 @@ class SassiRuntime:
                             mp=mp, brp=brp, rp=rp, where=where,
                             lanes=lanes, vectorized=vec)
 
-    def _poison(self, warp, mask) -> None:
+    def _poison(self, warp, lanes) -> None:
+        """Poison the caller-saved registers of active lanes *lanes*."""
         rows = self._poison_rows.get(warp.num_regs)
         if rows is None:
             rows = np.asarray(
                 [reg for reg in sorted(CALLER_SAVED)
                  if reg < warp.num_regs], dtype=np.int64)
             self._poison_rows[warp.num_regs] = rows
-        if rows.size:
-            warp.regs[np.ix_(rows, mask)] = POISON
+        if lanes.size == warp.regs.shape[1]:
+            warp.regs[rows] = POISON
+        elif lanes.size:
+            warp.regs[rows[:, None], lanes] = POISON

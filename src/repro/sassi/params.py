@@ -116,7 +116,8 @@ class _View:
 
     def __init__(self, executor, warp, cta, mask: np.ndarray, base: int,
                  lanes: Optional[np.ndarray] = None,
-                 vectorized: bool = True):
+                 vectorized: bool = True,
+                 constants: Optional[dict] = None):
         self._executor = executor
         self._warp = warp
         self._cta = cta
@@ -127,7 +128,9 @@ class _View:
         self._lane_idx = lanes
         self._lanes_list: Optional[List[int]] = None
         self._vectorized = vectorized
-        self._row_cache: dict = {}
+        #: memoized reads, seeded with any field values the caller
+        #: already knows (``{(offset, width): value}``)
+        self._row_cache: dict = dict(constants) if constants else {}
 
     @property
     def _lanes(self) -> List[int]:

@@ -170,6 +170,10 @@ class Executor:
         #: handler contexts read it so sampled counters can be scaled
         #: into unbiased estimates.
         self._sample_rate: int = 1
+        #: while a compiled site plan calls its handler binding: the
+        #: firing's active-lane indices and the frame's constant
+        #: before-params fields (``SiteSequencePlan.execute``)
+        self._site_hint = None
         #: the device's AdaptiveController, if one is installed
         #: (``repro.sassi.runtime``); gates compiled site plans.
         self._adaptive = getattr(device, "adaptive", None)

@@ -22,6 +22,7 @@ accumulated breakers at the loop exit.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -82,6 +83,16 @@ class Warp:
         self.lane_thread_ids = lane_thread_ids
         #: CTA-relative linear thread id of lane 0.
         self.base_tid = int(lane_thread_ids[0]) if len(lane_thread_ids) else 0
+
+    @functools.cached_property
+    def lane_rows(self):
+        """The lanes' rows of the CTA's local block: a slice when they
+        own consecutive thread ids (as every executor warp does), else
+        an index column."""
+        ids = np.asarray(self.lane_thread_ids)
+        if np.array_equal(ids, self.base_tid + np.arange(ids.size)):
+            return slice(self.base_tid, self.base_tid + ids.size)
+        return ids[:, None]
 
     # ------------------------------------------------------------ masks
 
