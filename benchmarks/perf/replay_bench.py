@@ -15,8 +15,12 @@ Three measurements on one deterministic multi-launch corpus:
 * **seek** — wall time of a last-launch ``trace query`` answered via
   the ``.rpti`` sidecar (O(1) seek to the final frame) versus the same
   query forced down the full-scan path.
+* **timing** — informational, not gated: events/second of a serial
+  replay of the ``timing`` analysis including the schedule, and the
+  wall time of one warp-filtered ``trace query`` (``--launches LAST
+  --warp 1``).
 
-Everything is gated as a ratio measured on one machine in one run
+The first three are gated as ratios measured on one machine in one run
 (columnar vs streaming, sharded vs streaming, indexed vs scan), so the
 CI gate (``--check``) is machine-independent: the committed ratios must
 clear the acceptance floors — >= 3x serial columnar replay, >= 2x
@@ -200,6 +204,39 @@ def measure_seek(path: str, repeats: int) -> dict:
     }
 
 
+def measure_timing(path: str, events: int, repeats: int) -> dict:
+    """Best-of-N timing replay (segmentation, cache grading and the
+    schedule) and warp-filtered query latency.  Recorded, not gated."""
+    import repro.trace.timing  # noqa: F401  (registers "timing")
+    from repro.trace.index import index_path_for, read_index
+    from repro.trace.query import QueryFilter, run_query
+    from repro.trace.replay import make_analysis, replay
+
+    replayed = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        (analysis,) = replay(path, [make_analysis("timing")])
+        analysis.result()
+        replayed = min(replayed, time.perf_counter() - t0)
+
+    last = read_index(index_path_for(path)).launches - 1
+    filt = QueryFilter.parse(launches=str(last), warp=1)
+    query = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        hits, _ = run_query(path, filt)
+        count = sum(1 for _ in hits)
+        query = min(query, time.perf_counter() - t0)
+
+    return {
+        "gated": False,
+        "events_per_sec": round(events / replayed, 1),
+        "warp_query": f"--launches {last} --warp 1",
+        "warp_query_hits": count,
+        "warp_query_ms": round(query * 1000, 3),
+    }
+
+
 def run_bench(shards: int, repeats: int) -> dict:
     from repro.trace.index import index_path_for
 
@@ -219,6 +256,7 @@ def run_bench(shards: int, repeats: int) -> dict:
             "decode": decode,
             "replay": measure_replay(path, events, shards, repeats),
             "seek": measure_seek(path, repeats),
+            "timing": measure_timing(path, events, repeats),
         }
     return results
 
@@ -293,6 +331,7 @@ def main(argv=None) -> int:
     results = run_bench(args.shards, args.repeats)
     decode = results["decode"]
     replay, seek = results["replay"], results["seek"]
+    timing = results["timing"]
     print(f"decode: {decode['decode_events_per_sec']:,.0f} ev/s over "
           f"{decode['frames']} frames (no analyses)")
     print(f"replay: streaming {replay['streaming_events_per_sec']:,.0f} "
@@ -305,6 +344,9 @@ def main(argv=None) -> int:
           f"scan {seek['scan_ms']:.2f} ms ({seek['speedup']:.1f}x), "
           f"{seek['events_scanned_indexed']:,} of "
           f"{seek['events_scanned_scan']:,} events read")
+    print(f"timing: {timing['events_per_sec']:,.0f} ev/s with the "
+          f"schedule; warp query {timing['warp_query_ms']:.2f} ms "
+          f"(informational)")
     with open(args.output, "w") as handle:
         json.dump(results, handle, indent=2, sort_keys=True)
         handle.write("\n")

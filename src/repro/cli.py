@@ -466,6 +466,8 @@ def _timing_report(args):
 def _cmd_trace_summary(args) -> int:
     from repro.trace.timing import render_summary
 
+    if args.top < 1:
+        raise CliError(f"--top must be at least 1 (got {args.top})")
     print(render_summary(_timing_report(args), top=args.top))
     return 0
 
@@ -591,6 +593,9 @@ def _cmd_trace_query(args) -> int:
     from repro.trace import TraceFormatError
     from repro.trace.query import QueryError, QueryFilter, run_query
 
+    if args.limit < 0 or (args.limit == 0 and not args.count):
+        raise CliError(f"--limit must be at least 1 (got {args.limit}); "
+                       "use --count for the total alone")
     _open_trace_or_die(args.input)
     try:
         filt = QueryFilter.parse(launches=args.launches,

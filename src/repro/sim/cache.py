@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -57,9 +57,14 @@ class Cache:
                                  line // self.num_sets, line_addr)
 
     def _access_line(self, index: int, tag: int, line_addr: int) -> bool:
+        """One access, for callers with one line at a time; the same
+        LRU moves as :meth:`_lookup` (which batches them without a call
+        per line), plus the forwarding of a miss."""
         self.stats.accesses += 1
-        ways = self._sets.setdefault(index, OrderedDict())
-        if tag in ways:
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = OrderedDict()
+        elif tag in ways:
             ways.move_to_end(tag)
             self.stats.hits += 1
             return True
@@ -72,27 +77,62 @@ class Cache:
             self.stats.evictions += 1
         return False
 
+    def _lookup(self, indices: List[int], tags: List[int]) -> List[bool]:
+        """Touch blocks ``(set index, tag)`` in order under LRU; per
+        block, whether it hit.  Only this level's state and stats move;
+        the caller forwards the misses."""
+        sets = self._sets
+        ways_max = self.ways
+        hits: List[bool] = []
+        evictions = 0
+        for index, tag in zip(indices, tags):
+            ways = sets.get(index)
+            if ways is None:
+                ways = sets[index] = OrderedDict()
+            elif tag in ways:
+                ways.move_to_end(tag)
+                hits.append(True)
+                continue
+            hits.append(False)
+            ways[tag] = True
+            if len(ways) > ways_max:
+                ways.popitem(last=False)
+                evictions += 1
+        stats = self.stats
+        count = hits.count(True)
+        stats.accesses += len(hits)
+        stats.hits += count
+        stats.misses += len(hits) - count
+        stats.evictions += evictions
+        return hits
+
     def access_lines(self, line_addresses: Sequence[int]) -> int:
         """Access a whole transaction vector (in order); returns the
         number of misses at this level.
 
         Equivalent to ``sum(not self.access(a) for a in line_addresses)``
-        — set indices and tags are derived with one vectorized pass, and
-        stats (including next-level forwarding and LRU state) are
+        — stats (including next-level forwarding and LRU state) are
         identical to the one-at-a-time loop.
         """
         if len(line_addresses) == 0:
             return 0
-        raw = np.asarray(line_addresses, dtype=np.int64)
-        arr = raw // self.line_bytes
-        indices = (arr % self.num_sets).tolist()
-        tags = (arr // self.num_sets).tolist()
-        misses = 0
-        access_line = self._access_line
-        for index, tag, line_addr in zip(indices, tags, raw.tolist()):
-            if not access_line(index, tag, line_addr):
-                misses += 1
-        return misses
+        return int(np.count_nonzero(self.miss_depths(
+            np.asarray(line_addresses, dtype=np.int64))))
+
+    def miss_depths(self, lines: np.ndarray) -> np.ndarray:
+        """Access *lines* (an int64 or object ndarray) in order; per
+        line, how many levels it missed (0 = hit here, 1 = hit one
+        level down, ...).  Each level sees its lines in one batch: the
+        misses reach the next level in the order they happened, which
+        is all its state depends on."""
+        blocks = lines // self.line_bytes
+        missed = ~np.array(self._lookup((blocks % self.num_sets).tolist(),
+                                        (blocks // self.num_sets).tolist()),
+                           dtype=bool)
+        depths = missed.astype(np.int64)
+        if self.next_level is not None and missed.any():
+            depths[missed] += self.next_level.miss_depths(lines[missed])
+        return depths
 
     def reset(self) -> None:
         self.stats.reset()

@@ -29,6 +29,13 @@ the earliest-ready warp (``mem_dep``, ``exec_dep``, or ``scoreboard``)
 and attributed to the producing instruction — the raw material for the
 ``repro trace summary`` hotspot and idle-gap reports.
 
+A launch arrives as one :class:`StreamTable` of columns, its warp
+streams contiguous row ranges.  Latencies come from one table gather
+per launch, and everything that does not depend on the schedule
+(issue and busy totals, per-address issue counts, divergent
+instructions, divergence spans) is an array reduction; the issue loop
+itself keeps one ready cycle per warp.
+
 Everything is integer arithmetic over deterministic orderings, so a
 schedule is bit-reproducible across runs and platforms, and
 ``cycles == busy_cycles + bubble cycles`` holds exactly.
@@ -36,10 +43,8 @@ schedule is bit-reproducible across runs and platforms, and
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -274,51 +279,12 @@ class LaunchSchedule:
                       key=lambda b: (-b.cycles, b.cta, b.start))
         return rows[:n]
 
-    # -- accumulation helpers used by the per-CTA stepper ------------
 
-    def _issue(self, instr: WarpInstr, occupancy: int) -> None:
-        spot = self.hotspots.get(instr.addr)
-        if spot is None:
-            spot = self.hotspots[instr.addr] = Hotspot(
-                addr=instr.addr, opcode=instr.opcode)
-        spot.issues += 1
-        spot.issue_cycles += occupancy
-        self.issued += 1
-        self.busy_cycles += occupancy
-        if instr.divergent:
-            self.divergent_instrs += 1
-
-    def _bubble(self, cta: int, start: int, cycles: int, reason: str,
-                addr: int, opcode: Opcode) -> None:
-        self.bubbles.append(Bubble(cta=cta, start=start, cycles=cycles,
-                                   reason=reason, addr=addr,
-                                   opcode=opcode))
-        self.stall_cycles[reason] += cycles
-        spot = self.hotspots.get(addr)
-        if spot is None:
-            spot = self.hotspots[addr] = Hotspot(addr=addr, opcode=opcode)
-        spot.stall_cycles += cycles
-
-
-def _memory_latency(entry: LatencyEntry, instr: WarpInstr) -> int:
-    """Result latency of a barrier-setting instruction, graded by the
-    recorded cache outcome for global accesses."""
-    if not (OPCODE_CLASSES[instr.opcode] & OpClass.MEMORY):
-        return entry.latency
-    if instr.l2_misses > 0:
-        latency = DRAM_LATENCY
-    elif instr.l1_misses > 0:
-        latency = L2_HIT_LATENCY
-    elif instr.transactions > 0:
-        latency = L1_HIT_LATENCY
-    else:
-        # no recorded access (shared/local space, or predicated away)
-        return entry.latency
-    return max(latency, entry.latency)
-
+#: opcode id -> Opcode member, skipping the Enum __call__
+_OPCODES_BY_VALUE = {op.value: op for op in Opcode}
 
 #: per-opcode timing columns indexed by opcode *value* — one gather
-#: replaces a LATENCY_TABLE dict probe per issued instruction
+#: replaces a LATENCY_TABLE dict probe per instruction
 _op_columns: Optional[Tuple[np.ndarray, ...]] = None
 
 
@@ -341,258 +307,277 @@ def _opcode_columns() -> Tuple[np.ndarray, ...]:
     return _op_columns
 
 
-def _stream_columns(instrs: Sequence[WarpInstr]
-                    ) -> Tuple[List[int], List[int], List[int],
-                               List[str], List[bool]]:
-    """Precompute per-instruction timing columns for one stream:
-    ``(occupancy, resume_delta, completion_latency, barrier_kind,
-    sets_barrier)``.  Every value equals what the scalar expressions in
-    the old per-issue path computed (occupancy with the transaction
-    surcharge, ``max(stall, occupancy)`` resume, the cache-graded
-    :func:`_memory_latency`), hoisted out of the scheduling loop."""
-    n = len(instrs)
-    op_issue, op_stall, op_lat, op_barrier, op_ismem = _opcode_columns()
-    if n < 32:
-        occ: List[int] = []
-        rdelta: List[int] = []
-        lat: List[int] = []
-        kind: List[str] = []
-        barrier_f: List[bool] = []
-        for instr in instrs:
-            entry = LATENCY_TABLE[instr.opcode]
-            occupancy = entry.issue
-            if instr.transactions > 1:
-                occupancy += TRANSACTION_CYCLES * (instr.transactions - 1)
-            occ.append(occupancy)
-            rdelta.append(max(entry.stall, occupancy))
-            lat.append(_memory_latency(entry, instr))
-            kind.append(REASON_MEM
-                        if OPCODE_CLASSES[instr.opcode] & OpClass.MEMORY
-                        else REASON_EXEC)
-            barrier_f.append(entry.barrier)
-        return occ, rdelta, lat, kind, barrier_f
-    ops = np.fromiter((i.opcode.value for i in instrs), np.int64, n)
-    tx = np.fromiter((i.transactions for i in instrs), np.int64, n)
-    l1m = np.fromiter((i.l1_misses for i in instrs), np.int64, n)
-    l2m = np.fromiter((i.l2_misses for i in instrs), np.int64, n)
-    occ_a = op_issue[ops] + np.where(
-        tx > 1, TRANSACTION_CYCLES * (tx - 1), 0)
-    rdelta_a = np.maximum(op_stall[ops], occ_a)
-    base = op_lat[ops]
-    graded = np.where(l2m > 0, DRAM_LATENCY,
-                      np.where(l1m > 0, L2_HIT_LATENCY,
-                               np.where(tx > 0, L1_HIT_LATENCY, base)))
-    ismem = op_ismem[ops]
-    lat_a = np.where(ismem, np.maximum(graded, base), base)
-    kind = [REASON_MEM if m else REASON_EXEC for m in ismem.tolist()]
-    return (occ_a.tolist(), rdelta_a.tolist(), lat_a.tolist(),
-            kind, op_barrier[ops].tolist())
+@dataclass
+class StreamTable:
+    """One launch's warp streams as columns.
+
+    Rows are grouped stream by stream, CTA-major: stream *s* is rows
+    ``offsets[s]:offsets[s + 1]``, and CTA *c* owns the next
+    ``cta_streams[c]`` streams.  ``addr`` and ``lanes`` may be object
+    arrays (values beyond int64); the other columns are int64 or bool.
+    """
+
+    addr: np.ndarray
+    opcode: np.ndarray
+    lanes: np.ndarray
+    transactions: np.ndarray
+    l1_misses: np.ndarray
+    l2_misses: np.ndarray
+    divergent: np.ndarray
+    offsets: np.ndarray
+    cta_streams: List[int]
+
+    @classmethod
+    def from_streams(cls, ctas: Sequence[Sequence[WarpStream]]
+                     ) -> "StreamTable":
+        instrs = [i for streams in ctas for s in streams for i in s.instrs]
+
+        def column(values, dtype=np.int64) -> np.ndarray:
+            try:
+                return np.array(values, dtype=dtype)
+            except OverflowError:
+                return np.array(values, dtype=object)
+
+        lengths = [len(s.instrs) for streams in ctas for s in streams]
+        return cls(addr=column([i.addr for i in instrs]),
+                   opcode=column([i.opcode.value for i in instrs]),
+                   lanes=column([i.lanes for i in instrs]),
+                   transactions=column([i.transactions for i in instrs]),
+                   l1_misses=column([i.l1_misses for i in instrs]),
+                   l2_misses=column([i.l2_misses for i in instrs]),
+                   divergent=column([i.divergent for i in instrs], bool),
+                   offsets=np.cumsum([0] + lengths),
+                   cta_streams=[len(streams) for streams in ctas])
+
+    def streams(self) -> List[List[WarpStream]]:
+        """The table as per-CTA :class:`WarpStream` lists."""
+        rows = [WarpInstr(addr=addr, opcode=_OPCODES_BY_VALUE[op],
+                          lanes=lanes, transactions=tx, l1_misses=l1,
+                          l2_misses=l2, divergent=div)
+                for addr, op, lanes, tx, l1, l2, div in zip(
+                    self.addr.tolist(), self.opcode.tolist(),
+                    self.lanes.tolist(), self.transactions.tolist(),
+                    self.l1_misses.tolist(), self.l2_misses.tolist(),
+                    self.divergent.tolist())]
+        offsets = self.offsets.tolist()
+        ctas, s = [], 0
+        for count in self.cta_streams:
+            ctas.append([WarpStream(warp=w, instrs=rows[offsets[s + w]:
+                                                       offsets[s + w + 1]])
+                         for w in range(count)])
+            s += count
+        return ctas
+
+    def spans(self) -> List[Tuple[int, int, int]]:
+        """Maximal runs of divergence-serialized instructions within
+        each stream, in row order, as ``(start_addr, length,
+        min_lanes)`` tuples."""
+        rows = np.flatnonzero(self.divergent)
+        if not rows.size:
+            return []
+        stream_start = np.zeros(self.divergent.size + 1, dtype=bool)
+        stream_start[self.offsets] = True
+        follows = np.zeros(rows.size, dtype=bool)
+        follows[1:] = (rows[1:] == rows[:-1] + 1) & ~stream_start[rows[1:]]
+        starts = np.flatnonzero(~follows)
+        lengths = np.diff(np.append(starts, rows.size))
+        min_lanes = np.minimum.reduceat(self.lanes[rows], starts)
+        return list(zip(self.addr[rows[starts]].tolist(), lengths.tolist(),
+                        min_lanes.tolist()))
 
 
-class _WarpState:
-    """Scheduler-side runtime state of one warp."""
+_INF = float("inf")
 
-    __slots__ = ("idx", "instrs", "pos", "resume", "parked", "done",
-                 "barriers", "last_addr", "last_op", "seq", "occ",
-                 "rdelta", "lat", "kind", "barrier_f", "_ready")
 
-    def __init__(self, idx: int, stream: WarpStream):
-        self.idx = idx
-        self.instrs = stream.instrs
-        self.pos = 0
-        self.resume = 0          # earliest next-issue cycle (stall count)
-        self.parked = False
-        self.done = not self.instrs
-        #: outstanding scoreboard barriers: (pos, completion, reason,
-        #: addr, opcode) in allocation order
-        self.barriers: List[Tuple[int, int, str, int, Opcode]] = []
-        self.last_addr = 0
-        self.last_op = Opcode.NOP
-        #: bumped on every issue; heap entries carry the seq they were
-        #: pushed with, so stale entries self-identify on pop
-        self.seq = 0
-        (self.occ, self.rdelta, self.lat, self.kind,
-         self.barrier_f) = _stream_columns(self.instrs)
-        #: memoized ready() — invalidated only by issue()
-        self._ready: Optional[Tuple[int, str, int, Opcode]] = None
+def _schedule_cta(starts: List[int], ends: List[int], cols: tuple,
+                  config: SchedulerConfig, cta: int, base: int,
+                  bubbles: list, issued_at: List[int]) -> Tuple[int, int]:
+    """Step the warps whose streams are rows ``starts[w]:ends[w]``
+    through the issue port; returns ``(cycles, barrier releases)``.
 
-    def ready(self, config: SchedulerConfig
-              ) -> Tuple[int, str, int, Opcode]:
-        """``(cycle, reason, blocker_addr, blocker_op)`` — earliest
-        issue time of the next instruction and, if it must wait, the
-        producing instruction to blame.  A pure function of per-warp
-        state, so it is memoized between issues."""
-        state = self._ready
-        if state is not None:
-            return state
-        when = self.resume
-        reason = REASON_EXEC
-        addr, op = self.last_addr, self.last_op
-        barriers = self.barriers
-        if barriers:
-            dep_limit = self.pos - config.dep_distance
-            for bpos, completion, kind, baddr, bop in barriers:
-                if bpos <= dep_limit and completion > when:
-                    when, reason, addr, op = completion, kind, baddr, bop
-        if (self.barrier_f[self.pos]
-                and len(barriers) >= config.scoreboard_slots):
+    ``ready[w]`` is warp *w*'s earliest next-issue cycle (infinite once
+    it is parked or done); it only changes when *w* issues, so each
+    step is one ``min`` over it.  A stall appends ``(cta, start,
+    cycles, reason, producer row)`` to *bubbles*; every issue stores its
+    launch-relative cycle in *issued_at*.  Issue order, bubbles and
+    blame are those of a full scan of the ready warps: the earliest
+    (cycle, warp) names the blocker, GTO keeps the last warp while it
+    is ready and otherwise takes the lowest ready index, LRR takes the
+    next ready index after the last warp, wrapping.
+    """
+    occ, rdelta, lat, ismem, sets_barrier, is_bar = cols
+    slots = config.scoreboard_slots
+    dep_distance = config.dep_distance
+    n = len(starts)
+    pos = list(starts)
+    resume = [0] * n
+    #: outstanding scoreboard barriers per warp: (row, completion,
+    #: is_memory) in allocation order
+    barriers: List[list] = [[] for _ in range(n)]
+    last = [-1] * n
+    parked = [False] * n
+    ready = [0 if s < e else _INF for s, e in zip(starts, ends)]
+    live = n - ready.count(_INF)
+
+    def wait(w: int) -> Tuple[int, str, int]:
+        """``(cycle, reason, producer row)``: when warp *w* can issue
+        next and, if it must wait, the instruction to blame."""
+        p = pos[w]
+        when, reason, producer = resume[w], REASON_EXEC, last[w]
+        held = barriers[w]
+        if held:
+            limit = p - dep_distance
+            for row, completion, mem in held:
+                if row <= limit and completion > when:
+                    when, producer = completion, row
+                    reason = REASON_MEM if mem else REASON_EXEC
+        if sets_barrier[p] and len(held) >= slots:
             # a free slot appears when the k-th oldest completion
-            # passes; expiry-before-allocate in issue() keeps the list
-            # at <= scoreboard_slots entries, where the k-th oldest IS
-            # the minimum — one pass, no sorted() allocation
-            oldest = min(barriers, key=lambda b: b[1])
-            if len(barriers) == config.scoreboard_slots:
+            # passes; expiry-before-allocate keeps at most `slots`
+            # entries, where the k-th oldest is the minimum
+            oldest = min(held, key=lambda b: b[1])
+            if len(held) == slots:
                 freed = oldest[1]
             else:
-                completions = sorted(b[1] for b in barriers)
-                freed = completions[len(completions)
-                                    - config.scoreboard_slots]
+                freed = sorted(b[1] for b in held)[len(held) - slots]
             if freed > when:
-                when, reason = freed, REASON_SCOREBOARD
-                addr, op = oldest[3], oldest[4]
-        state = (when, reason, addr, op)
-        self._ready = state
-        return state
+                when, reason, producer = freed, REASON_SCOREBOARD, oldest[0]
+        return when, reason, producer
 
-    def issue(self, cycle: int, config: SchedulerConfig
-              ) -> Tuple[WarpInstr, int]:
-        """Issue the next instruction at *cycle*; returns it and its
-        issue-port occupancy."""
-        pos = self.pos
-        instr = self.instrs[pos]
-        occupancy = self.occ[pos]
-        if self.barriers:
-            self.barriers = [b for b in self.barriers if b[1] > cycle]
-        if self.barrier_f[pos]:
-            self.barriers.append((pos, cycle + self.lat[pos],
-                                  self.kind[pos], instr.addr,
-                                  instr.opcode))
-        self.resume = cycle + self.rdelta[pos]
-        self.last_addr, self.last_op = instr.addr, instr.opcode
-        self.pos = pos = pos + 1
-        if pos >= len(self.instrs):
-            self.done = True
-        elif instr.opcode is Opcode.BAR:
-            self.parked = True
-        self.seq += 1
-        self._ready = None
-        return instr, occupancy
-
-
-def _pick(candidates: List[_WarpState], n_warps: int, last: int,
-          policy: str) -> _WarpState:
-    if policy == "gto":
-        for warp in candidates:
-            if warp.idx == last:
-                return warp          # greedy: stick with the last warp
-        return min(candidates, key=lambda w: w.idx)   # then oldest
-    # loose round-robin: the successor of `last` in the sorted
-    # candidate-index ring (strictly-after first, wrapping, `last`
-    # itself only when it is the sole candidate)
-    by_idx = {w.idx: w for w in candidates}
-    idxs = sorted(by_idx)
-    return by_idx[idxs[bisect_right(idxs, last) % len(idxs)]]
-
-
-def _schedule_cta(streams: Sequence[WarpStream], config: SchedulerConfig,
-                  acc: LaunchSchedule, cta: int, base_cycle: int) -> int:
-    """Step one CTA through the scheduler; returns its cycle count.
-
-    The per-issue ``states`` list rebuild of the original stepper is
-    replaced by a ready-heap of ``(when, idx, seq)`` entries: only the
-    issued warp's readiness changes per iteration, so everything else
-    stays put.  Entries invalidated without being popped (the greedy
-    reissue path below) self-identify by a stale ``seq`` and are
-    discarded lazily; the issue order, bubbles, and blame are identical
-    to the full-scan loop because the heap order (when, idx) is exactly
-    the scan's min key and the popped candidate set is exactly its
-    ``t <= issue_at`` filter."""
-    warps = [_WarpState(i, s) for i, s in enumerate(streams)]
-    n_warps = len(warps)
-    live = sum(1 for w in warps if not w.done)
-    heap: List[Tuple[int, int, int]] = [
-        (w.ready(config)[0], w.idx, w.seq) for w in warps if not w.done]
-    heapq.heapify(heap)
     greedy = config.policy == "gto"
-    port_free = 0
-    last = 0
+    port = cur = releases = 0
     while live:
-        # drop entries whose warp has issued since they were pushed
-        while heap:
-            _, idx, seq = heap[0]
-            if warps[idx].seq == seq:
-                break
-            heapq.heappop(heap)
-        if not heap:
+        earliest = min(ready)
+        if earliest == _INF:
             # every live warp is parked at the CTA barrier: release
-            acc.barrier_releases += 1
-            for warp in warps:
-                if not warp.done:
-                    warp.parked = False
-                    heapq.heappush(heap, (warp.ready(config)[0],
-                                          warp.idx, warp.seq))
+            releases += 1
+            for w in range(n):
+                if parked[w]:
+                    parked[w] = False
+                    ready[w] = wait(w)[0]
             continue
-        warp = warps[last]
-        if (greedy and not warp.done and not warp.parked
-                and warp.ready(config)[0] <= port_free):
-            # greedy reissue: `last` is a candidate (its ready time is
-            # at or before the port), so GTO picks it and the earliest
-            # ready time can't exceed port_free — no bubble.  Skip the
-            # candidate pops entirely; the warp's old heap entry goes
-            # stale via seq.
-            instr, occupancy = warp.issue(port_free, config)
-            acc._issue(instr, occupancy)
-            port_free += occupancy
-            if warp.done:
-                live -= 1
-            elif not warp.parked:
-                heapq.heappush(heap, (warp.ready(config)[0],
-                                      warp.idx, warp.seq))
-            if len(heap) > 4 * n_warps + 16:    # compact stale entries
-                heap = [(t, i, s) for t, i, s in heap
-                        if warps[i].seq == s]
-                heapq.heapify(heap)
-            continue
-        when, idx, _ = heap[0]
-        issue_at = max(when, port_free)
-        if when > port_free:
-            _, reason, baddr, bop = warps[idx].ready(config)
-            acc._bubble(cta, base_cycle + port_free, when - port_free,
-                        reason, baddr, bop)
-        candidates = []
-        while heap and heap[0][0] <= issue_at:
-            when, idx, seq = heapq.heappop(heap)
-            if warps[idx].seq == seq:
-                candidates.append(warps[idx])
-        warp = _pick(candidates, n_warps, last, config.policy)
-        instr, occupancy = warp.issue(issue_at, config)
-        acc._issue(instr, occupancy)
-        port_free = issue_at + occupancy
-        last = warp.idx
-        for other in candidates:
-            if other is not warp:
-                heapq.heappush(heap, (other.ready(config)[0],
-                                      other.idx, other.seq))
-        if warp.done:
+        if greedy and ready[cur] <= port:
+            w, at = cur, port        # greedy: stick with the last warp
+        else:
+            at = port
+            if earliest > port:
+                _, reason, producer = wait(ready.index(earliest))
+                bubbles.append((cta, base + port, earliest - port,
+                                reason, producer))
+                at = earliest
+            if greedy:
+                w = cur
+                if ready[cur] > at:
+                    w = 0
+                    while ready[w] > at:    # then oldest
+                        w += 1
+            else:
+                for w in range(cur + 1, n):
+                    if ready[w] <= at:
+                        break
+                else:
+                    w = 0
+                    while ready[w] > at:
+                        w += 1
+            cur = w
+        p = pos[w]
+        held = barriers[w]
+        if held:
+            held = barriers[w] = [b for b in held if b[1] > at]
+        if sets_barrier[p]:
+            held.append((p, at + lat[p], ismem[p]))
+        resume[w] = when = at + rdelta[p]
+        last[w] = p
+        issued_at[p] = base + at
+        port = at + occ[p]
+        p += 1
+        pos[w] = p
+        if p == ends[w]:
+            ready[w] = _INF
             live -= 1
-        elif not warp.parked:
-            heapq.heappush(heap, (warp.ready(config)[0], warp.idx,
-                                  warp.seq))
-    return port_free
+        elif is_bar[p - 1]:
+            parked[w] = True
+            ready[w] = _INF
+        elif held or sets_barrier[p]:
+            ready[w] = wait(w)[0]
+        else:
+            ready[w] = when
+    return port, releases
 
 
-def schedule_launch(ctas: Sequence[Sequence[WarpStream]],
-                    config: Optional[SchedulerConfig] = None
+def schedule_launch(ctas, config: Optional[SchedulerConfig] = None
                     ) -> LaunchSchedule:
     """Schedule one launch: CTAs run back to back (the executor is
     sequential across CTAs), warps within a CTA compete for the single
-    issue port under ``config.policy``."""
+    issue port under ``config.policy``.
+
+    *ctas* is a :class:`StreamTable` or per-CTA lists of
+    :class:`WarpStream`.  The timing columns come from one table gather
+    per launch, and everything that does not depend on the schedule —
+    issue and busy totals, per-address issue counts, divergent
+    instructions — is an array reduction outside the issue loop.
+    """
     config = config or SchedulerConfig()
+    table = (ctas if isinstance(ctas, StreamTable)
+             else StreamTable.from_streams(ctas))
+    op_issue, op_stall, op_lat, op_barrier, op_ismem = _opcode_columns()
+    ops = table.opcode
+    tx, l1m, l2m = table.transactions, table.l1_misses, table.l2_misses
+    occ = op_issue[ops] + np.where(tx > 1, TRANSACTION_CYCLES * (tx - 1), 0)
+    base_lat = op_lat[ops]
+    graded = np.where(l2m > 0, DRAM_LATENCY,
+                      np.where(l1m > 0, L2_HIT_LATENCY,
+                               np.where(tx > 0, L1_HIT_LATENCY, base_lat)))
+    ismem = op_ismem[ops]
+    lat = np.where(ismem, np.maximum(graded, base_lat), base_lat)
+    cols = (occ.tolist(), np.maximum(op_stall[ops], occ).tolist(),
+            lat.tolist(), ismem.tolist(), op_barrier[ops].tolist(),
+            (ops == Opcode.BAR.value).tolist())
+    n = ops.size
+    issued_at = [0] * n
+    bubble_rows: List[tuple] = []
+    offsets = table.offsets.tolist()
     acc = LaunchSchedule(policy=config.policy)
-    base = 0
-    for cta_index, streams in enumerate(ctas):
-        base += _schedule_cta(streams, config, acc, cta_index, base)
-    acc.cycles = base
+    cycle = s = 0
+    for cta, count in enumerate(table.cta_streams):
+        cycles, releases = _schedule_cta(
+            offsets[s:s + count], offsets[s + 1:s + count + 1], cols,
+            config, cta, cycle, bubble_rows, issued_at)
+        acc.barrier_releases += releases
+        cycle += cycles
+        s += count
+    acc.cycles = cycle
+    acc.issued = n
+    acc.busy_cycles = int(occ.sum())
+    acc.divergent_instrs = int(np.count_nonzero(table.divergent))
+    if n:
+        # every bubble waits on an issued instruction (a warp that has
+        # not issued is ready at cycle 0), so its producer is a row
+        addrs, inverse = np.unique(table.addr, return_inverse=True)
+        cta_of, start_of, cycles_of, reason_of, producer_of = (
+            zip(*bubble_rows) if bubble_rows else ((),) * 5)
+        row_addr, row_op = table.addr.tolist(), ops.tolist()
+        acc.bubbles = list(map(
+            Bubble, cta_of, start_of, cycles_of, reason_of,
+            [row_addr[p] for p in producer_of],
+            [_OPCODES_BY_VALUE[row_op[p]] for p in producer_of]))
+        for cycles, reason in zip(cycles_of, reason_of):
+            acc.stall_cycles[reason] += cycles
+        stalls = np.bincount(inverse[list(producer_of)], weights=cycles_of,
+                             minlength=addrs.size).astype(np.int64)
+        issues = np.bincount(inverse, minlength=addrs.size)
+        issue_cycles = np.bincount(inverse, weights=occ,
+                                   minlength=addrs.size).astype(np.int64)
+        # hotspots in first-issue order, as an issue-time walk makes them
+        by_time = np.argsort(np.array(issued_at))
+        _, first = np.unique(inverse[by_time], return_index=True)
+        order = np.argsort(first)
+        acc.hotspots = {
+            addr: Hotspot(addr, _OPCODES_BY_VALUE[row_op[row]], *counts)
+            for addr, row, *counts in zip(
+                addrs[order].tolist(), by_time[first[order]].tolist(),
+                issues[order].tolist(), issue_cycles[order].tolist(),
+                stalls[order].tolist())}
     return acc
 
 
@@ -600,18 +585,4 @@ def divergence_spans(stream: WarpStream
                      ) -> List[Tuple[int, int, int]]:
     """Maximal runs of divergence-serialized instructions in *stream*
     as ``(start_addr, length, min_lanes)`` tuples."""
-    spans = []
-    start = length = 0
-    min_lanes = 0
-    for instr in stream.instrs:
-        if instr.divergent:
-            if length == 0:
-                start, min_lanes = instr.addr, instr.lanes
-            length += 1
-            min_lanes = min(min_lanes, instr.lanes)
-        elif length:
-            spans.append((start, length, min_lanes))
-            length = 0
-    if length:
-        spans.append((start, length, min_lanes))
-    return spans
+    return StreamTable.from_streams([[stream]]).spans()

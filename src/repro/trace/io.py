@@ -38,9 +38,13 @@ import numpy as np
 from repro.telemetry.collector import TELEMETRY
 from repro.trace import index as index_mod
 from repro.trace.format import (
+    BranchEvent,
     EncoderState,
+    InstrEvent,
     KIND_NAMES,
+    KernelEndEvent,
     MAGIC,
+    MemEvent,
     TAG_BRANCH,
     TAG_END,
     TAG_INSTR,
@@ -799,6 +803,40 @@ class FrameColumns:
     @classmethod
     def from_frame(cls, data: bytes) -> Optional["FrameColumns"]:
         return decode_frame_columns(data)
+
+    @classmethod
+    def from_events(cls, launch, events: Sequence[object]
+                    ) -> "FrameColumns":
+        """The columns of *events* (the records after *launch*, which
+        may be ``None``), for the event-fed consumers.  A column whose
+        values exceed int64 (a frame the vector decoder declines) is
+        kept as an object array of Python ints."""
+        tag_of = {InstrEvent: TAG_INSTR, MemEvent: TAG_MEM,
+                  BranchEvent: TAG_BRANCH, KernelEndEvent: TAG_KEND}
+        tags = [tag_of[type(event)] for event in events]
+        instrs = [e for e in events if type(e) is InstrEvent]
+        mems = [e for e in events if type(e) is MemEvent]
+        branches = [e for e in events if type(e) is BranchEvent]
+
+        def column(values) -> np.ndarray:
+            try:
+                return np.array(values, dtype=np.int64)
+            except OverflowError:
+                return np.array(values, dtype=object)
+
+        return cls(launch, tuple(column(values) for values in (
+            tags,
+            [e.warp_instructions for e in events
+             if type(e) is KernelEndEvent],
+            [e.ins_addr for e in instrs], [e.opcode for e in instrs],
+            [e.lanes for e in instrs], [e.width for e in instrs],
+            [e.ins_addr for e in mems], [e.flags for e in mems],
+            [e.width for e in mems], [e.active_lanes for e in mems],
+            [len(e.line_addresses) for e in mems],
+            [line for e in mems for line in e.line_addresses],
+            [e.ins_addr for e in branches], [e.active for e in branches],
+            [e.taken for e in branches],
+            [e.not_taken for e in branches])))
 
 
 def _launch_header(data: bytes) -> Tuple[object, int]:

@@ -23,7 +23,7 @@ Filter semantics:
   (``cta_index * warps_per_cta + warp_index``), recovered by the same
   deterministic warp segmentation the timing model uses.  Only
   meaningful for full captures (warp reconstruction needs every
-  instruction); tagging runs only when the filter is set.
+  instruction); segmentation runs only when the filter is set.
 * ``kinds`` — restrict which event kinds are emitted at all
   (``instr`` / ``mem`` / ``branch``).
 """
@@ -40,10 +40,10 @@ from repro.trace import index as index_mod
 from repro.trace.format import (
     TAG_BRANCH,
     TAG_INSTR,
+    TAG_KEND,
     TAG_MEM,
     BranchEvent,
     InstrEvent,
-    KernelEndEvent,
     LaunchEvent,
     MemEvent,
     iter_slice_events,
@@ -72,10 +72,13 @@ def _parse_range(text: str, what: str
         lo_text, hi_text = text.split(":", 1)
         lo = int(lo_text, 0) if lo_text else None
         hi = int(hi_text, 0) if hi_text else None
-        return lo, hi
     except ValueError:
         raise QueryError(f"bad {what} range {text!r} (want N, N:M, N:, "
                          "or :M; addresses may be hex)")
+    if lo is not None and hi is not None and hi < lo:
+        raise QueryError(f"reversed {what} range {text!r} (the end is "
+                         "below the start)")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,9 @@ class QueryFilter:
               warp: Optional[int] = None,
               kinds: Optional[str] = None) -> "QueryFilter":
         """Build a filter from CLI strings."""
+        if warp is not None and warp < 0:
+            raise QueryError(f"bad warp ordinal {warp} (must be 0 or "
+                             "more)")
         launch_range = _parse_range(launches, "launch") if launches else None
         mask = None
         if classes:
@@ -128,21 +134,6 @@ class QueryFilter:
         return ((lo is None or ordinal >= lo)
                 and (hi is None or ordinal < hi))
 
-    def addr_matches(self, event) -> bool:
-        if self.addr is None:
-            return True
-        lo, hi = self.addr
-
-        def contains(value: int) -> bool:
-            return ((lo is None or value >= lo)
-                    and (hi is None or value < hi))
-
-        if contains(event.ins_addr):
-            return True
-        if isinstance(event, MemEvent):
-            return any(contains(line) for line in event.line_addresses)
-        return False
-
 
 @dataclass(frozen=True)
 class QueryHit:
@@ -166,95 +157,6 @@ class QueryStats:
     used_index: bool = False
 
 
-class _WarpTagger:
-    """Recovers each instruction's warp ordinal for one launch via the
-    timing model's deterministic segmentation (one-event lookahead)."""
-
-    def __init__(self, launch: LaunchEvent):
-        from repro.trace.timing import _LaunchBuilder
-
-        self._builder = _LaunchBuilder(launch)
-
-    def tag(self, event: InstrEvent, next_addr: Optional[int]) -> int:
-        from repro.sim.scheduler import WarpInstr
-
-        builder = self._builder
-        ordinal = (len(builder.ctas) * builder.warps_per_cta
-                   + builder.current)
-        builder.add(WarpInstr(addr=event.ins_addr,
-                              opcode=Opcode(event.opcode),
-                              lanes=event.lanes), next_addr)
-        return ordinal
-
-
-def _frame_hits(events, ordinal: int, kernel: str, filt: QueryFilter,
-                stats: QueryStats, launch: Optional[LaunchEvent]
-                ) -> Iterator[QueryHit]:
-    """Filter one frame's events (the leading launch record excluded).
-
-    Warp tagging needs one-instruction lookahead, so under a warp
-    filter each instruction and its attachments are buffered until the
-    next instruction (or frame end) resolves the warp handoff.
-    """
-    tagger = (_WarpTagger(launch)
-              if filt.warp is not None and launch is not None else None)
-    want_instr = "instr" in filt.kinds
-    want_mem = "mem" in filt.kinds
-    want_branch = "branch" in filt.kinds
-    pending_instr: Optional[InstrEvent] = None
-    pending_emit: List[object] = []
-    # class verdict of the current attachment group; events before the
-    # first instruction have nothing to inherit from
-    group_match = filt.classes is None
-
-    def flush(next_addr: Optional[int]) -> Iterator[QueryHit]:
-        nonlocal pending_instr, pending_emit
-        if pending_instr is not None:
-            warp = tagger.tag(pending_instr, next_addr)
-            if warp == filt.warp:
-                for item in pending_emit:
-                    stats.hits += 1
-                    yield QueryHit(launch=ordinal, kernel=kernel,
-                                   warp=warp, event=item)
-        pending_instr = None
-        pending_emit = []
-
-    for event in events:
-        stats.events_scanned += 1
-        if isinstance(event, InstrEvent):
-            yield from flush(event.ins_addr)
-            group_match = (filt.classes is None
-                           or bool(OPCODE_CLASSES[Opcode(event.opcode)]
-                                   & filt.classes))
-            passes = (group_match and want_instr
-                      and filt.addr_matches(event))
-            if tagger is not None:
-                pending_instr = event
-                if passes:
-                    pending_emit.append(event)
-            elif passes:
-                stats.hits += 1
-                yield QueryHit(launch=ordinal, kernel=kernel, warp=None,
-                               event=event)
-        elif isinstance(event, (LaunchEvent, KernelEndEvent)):
-            yield from flush(None)
-        else:
-            is_mem = isinstance(event, MemEvent)
-            wanted = want_mem if is_mem else want_branch
-            if not (wanted and group_match and filt.addr_matches(event)):
-                continue
-            if tagger is not None:
-                if pending_instr is not None:
-                    pending_emit.append(event)
-                # no anchoring instruction (frameless trace): the warp
-                # cannot be recovered, so a warp filter excludes it
-            else:
-                stats.hits += 1
-                yield QueryHit(launch=ordinal, kernel=kernel, warp=None,
-                               event=event)
-    yield from flush(None)
-
-
 #: opcode id -> OPCODE_CLASSES flag value, for vectorized class tests
 _class_values: Optional[np.ndarray] = None
 
@@ -273,11 +175,11 @@ def _opclass_values() -> np.ndarray:
 def _frame_hits_columns(frame: FrameColumns, ordinal: int, kernel: str,
                         filt: QueryFilter, stats: QueryStats
                         ) -> Iterator[QueryHit]:
-    """Columnar twin of :func:`_frame_hits` for warp-less filters: the
-    class/addr/kind predicates run as array masks over one decoded
-    frame, and only the matching events are materialized as objects.
-    Hit set and order are identical to the event-stream walk."""
-    stats.events_scanned += frame.events
+    """Filter one frame's records (the leading launch record excluded):
+    the class/addr/warp/kind predicates run as array masks over the
+    columns, and only the matching events are materialized as objects,
+    in record order."""
+    stats.events_scanned += frame.record_tags.size
     tags = frame.record_tags
     instr_pos = np.flatnonzero(tags == TAG_INSTR)
 
@@ -294,22 +196,39 @@ def _frame_hits_columns(frame: FrameColumns, ordinal: int, kernel: str,
             match &= values < hi
         return match
 
-    if filt.classes is None:
-        instr_class = np.ones(instr_pos.size, dtype=bool)
-    else:
-        instr_class = (_opclass_values()[frame.instr_opcodes]
-                       & filt.classes.value) != 0
+    instr_ok = np.ones(instr_pos.size, dtype=bool)
+    if filt.classes is not None:
+        instr_ok &= (_opclass_values()[frame.instr_opcodes]
+                     & filt.classes.value) != 0
+    warp = None
+    if filt.warp is not None and frame.launch is not None:
+        from repro.trace.timing import warp_ordinals
+
+        warp = filt.warp
+        # an instruction's lookahead stops at a kernel-end record
+        kend_pos = np.flatnonzero(tags == TAG_KEND)
+        kends_before = np.searchsorted(kend_pos, instr_pos)
+        ends = np.ones(instr_pos.size, dtype=bool)
+        ends[:-1] = kends_before[1:] != kends_before[:-1]
+        instr_ok &= warp_ordinals(frame.launch, frame.instr_addr,
+                                  frame.instr_opcodes, ends)[0] == warp
 
     def inherited(positions: np.ndarray) -> np.ndarray:
-        """Class verdict a mem/branch record inherits from the nearest
-        preceding instruction of the frame (none -> no match unless the
-        class filter is off)."""
-        if filt.classes is None:
+        """The verdict a mem/branch record inherits from the nearest
+        preceding instruction of the frame (none -> no match unless
+        neither a class nor a warp filter is on).  Under a warp filter
+        a kernel-end record in between also breaks the tie."""
+        if filt.classes is None and warp is None:
             return np.ones(positions.size, dtype=bool)
         group = np.searchsorted(instr_pos, positions, side="right") - 1
         verdict = np.zeros(positions.size, dtype=bool)
-        anchored = group >= 0
-        verdict[anchored] = instr_class[group[anchored]]
+        anchored = np.flatnonzero(group >= 0)
+        owner = group[anchored]
+        verdict[anchored] = instr_ok[owner]
+        if warp is not None:
+            verdict[anchored] &= (
+                np.searchsorted(kend_pos, positions[anchored])
+                == kends_before[owner])
         return verdict
 
     pos_parts: List[np.ndarray] = []
@@ -324,7 +243,7 @@ def _frame_hits_columns(frame: FrameColumns, ordinal: int, kernel: str,
             local_parts.append(local)
 
     if "instr" in filt.kinds and instr_pos.size:
-        add(0, instr_pos, instr_class & in_range(frame.instr_addr))
+        add(0, instr_pos, instr_ok & in_range(frame.instr_addr))
     if "mem" in filt.kinds:
         mem_pos = np.flatnonzero(tags == TAG_MEM)
         if mem_pos.size:
@@ -372,7 +291,7 @@ def _frame_hits_columns(frame: FrameColumns, ordinal: int, kernel: str,
                 taken=int(frame.branch_taken[i]),
                 not_taken=int(frame.branch_not_taken[i]))
         stats.hits += 1
-        yield QueryHit(launch=ordinal, kernel=kernel, warp=None,
+        yield QueryHit(launch=ordinal, kernel=kernel, warp=warp,
                        event=event)
 
 
@@ -405,9 +324,9 @@ def run_query(trace_path: str, filt: QueryFilter,
     bound to this trace, else falls back to a full scan
     (``stats.used_index`` says which — a missing sidecar is reported as
     a full scan, never silently rebuilt by a hidden one).  Indexed
-    queries without a warp filter decode the visited frames in batched
-    runs and run the columnar fast path (:func:`_frame_hits_columns`)
-    per frame.
+    queries decode the visited frames in batched runs; every frame,
+    decoded or (when the decoder declines it, or without a sidecar)
+    gathered from events, is filtered by :func:`_frame_hits_columns`.
     """
     stats = QueryStats()
     if index is None:
@@ -422,27 +341,21 @@ def run_query(trace_path: str, filt: QueryFilter,
                       and _entry_can_match(entry, filt)
                       for ordinal, entry in enumerate(index.entries)]
             # visited frames are read and decoded in batched runs
-            columns = (reader.frame_columns(
+            columns = reader.frame_columns(
                 [entry for entry, want in zip(index.entries, wanted)
-                 if want]) if filt.warp is None else None)
+                 if want])
             for ordinal, entry in enumerate(index.entries):
                 if not wanted[ordinal]:
                     stats.launches_skipped += 1
                     continue
                 stats.launches_visited += 1
-                if columns is not None:
-                    _, data, frame = next(columns)
-                    if frame is not None:
-                        yield from _frame_hits_columns(
-                            frame, ordinal, entry.kernel, filt, stats)
-                        continue
-                    events = iter(iter_slice_events(data))
-                else:
-                    events = reader.open_launch(ordinal, index)
-                launch = next(events)
-                stats.events_scanned += 1
-                yield from _frame_hits(events, ordinal, entry.kernel,
-                                       filt, stats, launch)
+                stats.events_scanned += 1        # the launch record
+                _, data, frame = next(columns)
+                if frame is None:
+                    launch, *events = iter_slice_events(data)
+                    frame = FrameColumns.from_events(launch, events)
+                yield from _frame_hits_columns(
+                    frame, ordinal, entry.kernel, filt, stats)
 
         return indexed_hits(), stats
 
@@ -457,8 +370,9 @@ def run_query(trace_path: str, filt: QueryFilter,
             if filt.launch_in_range(ordinal):
                 stats.launches_visited += ordinal >= 0
                 kernel = launch.kernel if launch is not None else ""
-                yield from _frame_hits(frame, ordinal, kernel, filt,
-                                       stats, launch)
+                yield from _frame_hits_columns(
+                    FrameColumns.from_events(launch, frame), ordinal,
+                    kernel, filt, stats)
             else:
                 stats.launches_skipped += 1
                 stats.events_scanned += len(frame)

@@ -6,21 +6,21 @@ in :mod:`repro.sim.scheduler`, entirely off the functional fast path:
 the executor's inline accounting stays the flat model, and the
 stall-accurate numbers come from replaying a trace (or from tee-ing a
 live capture through :class:`TimingSink`, which by construction gives
-bit-identical results — both paths feed the same pure
-:meth:`TimingModel.feed`).
+bit-identical results — events and decoded frames reach the same
+columnar :class:`TimingModel` ingestion).
 
 **Warp segmentation.**  Trace events carry no warp IDs (the format is
 unchanged), so streams are rebuilt from the executor's deterministic
 scheduling contract: CTAs run sequentially; within a CTA, warps run in
 index order, each to its next barrier or exit; when every live warp is
 parked the barrier releases and the pass restarts at the lowest live
-index.  Under that contract each event extends the *current* warp, and
-only three opcodes can hand off:
+index.  Under that contract each instruction extends the *current*
+warp, and only three opcodes can hand off:
 
 * ``BAR`` always parks (the executor parks unconditionally) and will
   resume at the next instruction;
-* ``EXIT``/``RET`` are terminal only when the *next* event does not
-  continue this warp — the lookahead address decides: ``addr + 8``
+* ``EXIT``/``RET`` are terminal only when the *next* instruction does
+  not continue this warp — the lookahead address decides: ``addr + 8``
   means surviving lanes fell through; the computed start address of
   the next schedulable warp means this warp retired; anything else is
   a divergence-stack unwind within the same warp.
@@ -29,17 +29,21 @@ The two candidate addresses cannot collide (the entry address precedes
 any exit fall-through, and a barrier-resume address equal to the exit
 fall-through would need a BAR and an EXIT at the same address), so the
 reconstruction is exact for programs the executor can produce.
+:func:`warp_ordinals` runs the hand-off rule over the BAR/EXIT/RET
+rows only and fills every run between them with one array repeat; the
+``timing`` analysis and ``repro trace query --warp`` share it.
 
 **Divergence spans.**  An instruction is divergence-serialized when it
 executes with fewer active lanes than the warp's reconverged width;
 the width rebases after partial exits and self-heals upward at
-reconvergence.
+reconvergence — a running max of lane counts per warp stream,
+restarted after each EXIT/RET.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,9 +53,7 @@ from repro.sim.cache import Cache
 from repro.sim.scheduler import (
     LaunchSchedule,
     SchedulerConfig,
-    WarpInstr,
-    WarpStream,
-    divergence_spans,
+    StreamTable,
     schedule_launch,
 )
 from repro.sim.warp import WARP_SIZE
@@ -68,117 +70,216 @@ from repro.trace.format import (
 from repro.trace.io import FrameColumns
 from repro.trace.replay import ANALYSES, TraceAnalysis
 
-#: opcode id -> Opcode member, skipping the per-event Enum __call__
-_OPCODES_BY_VALUE = {op.value: op for op in Opcode}
+_BAR = Opcode.BAR.value
+_OPCODE_VALUES = [op.value for op in Opcode]
+_UNWINDS = (Opcode.EXIT.value, Opcode.RET.value)
+#: a next warp that is a fresh CTA's first warp
+_NEW_CTA = -1
 
 
-class _LaunchBuilder:
-    """Segments one launch's event stream into per-CTA warp streams."""
+def launch_geometry(launch: LaunchEvent) -> Tuple[int, int, int]:
+    """``(threads per CTA, warps per CTA, CTAs)`` of *launch*."""
+    bx, by, bz = launch.block
+    gx, gy, gz = launch.grid
+    threads = max(1, bx * by * bz)
+    return threads, -(-threads // WARP_SIZE), max(1, gx * gy * gz)
+
+
+def warp_ordinals(launch: LaunchEvent, addr: np.ndarray,
+                  opcodes: np.ndarray, ends: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Segment one launch's instructions (in record order) into warps.
+
+    Returns, per instruction, its global warp ordinal ``cta *
+    warps_per_cta + warp`` and whether that warp had already retired (a
+    desync: the trace outran the model).  ``ends[i]`` marks an
+    instruction with no lookahead — the last of the launch, or the
+    last before a kernel-end record.  Only BAR/EXIT/RET rows run the
+    hand-off rule; everything between two of them stays with the
+    current warp.
+    """
+    n = addr.size
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+    _, per_cta, num_ctas = launch_geometry(launch)
+    rows = np.flatnonzero((opcodes == _BAR) | np.isin(opcodes, _UNWINDS))
+    following = np.minimum(rows + 1, n - 1)
+    entry = addr[:1].tolist()[0]
+    alive = [True] * per_cta
+    parked = [False] * per_cta
+    started = [True] + [False] * (per_cta - 1)
+    resume = [0] * per_cta
+    cta = cur = 0
+
+    def next_warp(skip: int) -> Tuple[Optional[int], object, bool]:
+        """``(warp, start address, releases the barrier)`` of what runs
+        after the current warp hands off (``None``: the launch ends)."""
+        for i in range(cur + 1, per_cta):
+            if i != skip and alive[i] and not parked[i]:
+                return i, resume[i] if started[i] else entry, False
+        for i in range(per_cta):
+            if i != skip and alive[i]:
+                # end of pass; every survivor is parked at the barrier
+                return i, resume[i], True
+        if cta + 1 < num_ctas:
+            return _NEW_CTA, entry, False
+        return None, None, False
+
+    owners: List[int] = []
+    dead: List[bool] = []
+    for op, at, nxt, last in zip(opcodes[rows].tolist(),
+                                 addr[rows].tolist(),
+                                 addr[following].tolist(),
+                                 ends[rows].tolist()):
+        owners.append(cta * per_cta + cur)
+        dead.append(not alive[cur])
+        if op == _BAR:
+            parked[cur] = True
+            resume[cur] = at + INSTRUCTION_BYTES
+        elif not last:
+            if nxt == at + INSTRUCTION_BYTES:
+                continue             # surviving lanes fell through
+            index, start, _ = next_warp(skip=cur)
+            if index is None or nxt != start:
+                continue             # divergence-stack unwind
+        if op != _BAR:
+            alive[cur] = False
+        index, _, release = next_warp(skip=-1)
+        if index == _NEW_CTA:
+            cta += 1
+            cur = 0
+            alive[:] = [True] * per_cta
+            parked[:] = [False] * per_cta
+            started[:] = [True] + [False] * (per_cta - 1)
+            resume[:] = [0] * per_cta
+        elif index is not None:
+            if release:
+                parked[:] = [False] * per_cta
+            cur = index
+            started[index] = True
+    owners.append(cta * per_cta + cur)
+    dead.append(not alive[cur])
+    lengths = np.diff(np.concatenate(([0], rows + 1, [n])))
+    return np.repeat(owners, lengths), np.repeat(dead, lengths)
+
+
+def _divergent(ordinals: np.ndarray, opcodes: np.ndarray,
+               lanes: np.ndarray, threads: int, per_cta: int
+               ) -> np.ndarray:
+    """Divergence flags of instructions grouped by warp stream: fewer
+    active lanes than the running max of the warp's lane counts, which
+    starts at the warp's width and restarts (from 1) after each
+    EXIT/RET, where survivors re-base the width."""
+    n = ordinals.size
+    first = np.ones(n, dtype=bool)
+    first[1:] = ordinals[1:] != ordinals[:-1]
+    start = first.copy()
+    start[1:] |= np.isin(opcodes[:-1], _UNWINDS)
+    epoch = np.cumsum(start) - 1
+    width = np.minimum(WARP_SIZE,
+                       threads - (ordinals % per_cta) * WARP_SIZE)
+    floor = np.where(first, width, 1)[start]
+    step = int(lanes.max()) + 1 if n else 1
+    if step * n >= 1 << 62:          # keys beyond int64: Python ints
+        epoch, lanes = epoch.astype(object), lanes.astype(object)
+    # one running max over (epoch, lanes) keys restarts at every epoch
+    running = np.maximum.accumulate(epoch * step + lanes) - epoch * step
+    committed = np.maximum(floor[epoch], running)
+    return (lanes > 0) & (lanes < committed)
+
+
+class LaunchStreams:
+    """One launch's instruction columns (address, opcode, lanes and the
+    graded memory outcome), segmented into warp streams on demand.
+
+    A launch is *closed* by its kernel-end record, the next launch, or
+    :meth:`TimingModel.finish`.  While it is open its last instruction
+    still waits for its lookahead, so it and the CTA it opened stay
+    out of the streams.
+    """
 
     def __init__(self, event: LaunchEvent):
+        self.launch = event
         self.kernel = event.kernel
         self.launch_index = event.launch_index
         self.grid = event.grid
         self.block = event.block
-        bx, by, bz = event.block
-        gx, gy, gz = event.grid
-        self.threads = max(1, bx * by * bz)
-        self.warps_per_cta = -(-self.threads // WARP_SIZE)
-        self.num_ctas = max(1, gx * gy * gz)
-        self.entry_addr: Optional[int] = None
-        self.instr_count = 0
         self.warp_instructions = 0   # from the KernelEndEvent
-        self.desyncs = 0             # events after the model saw the end
-        self.ctas: List[List[WarpStream]] = []
-        self._start_cta()
+        self.closed = False
+        self.rows = 0
+        self._chunks: List[Tuple[np.ndarray, ...]] = []
+        self._segments: Optional[Tuple[StreamTable, int, int]] = None
 
-    def _start_cta(self) -> None:
-        n = self.warps_per_cta
-        self.streams = [WarpStream(warp=i) for i in range(n)]
-        self.alive = [True] * n
-        self.parked = [False] * n
-        self.started = [False] * n
-        self.resume = [0] * n
-        self.rebase = [False] * n
-        self.committed = [
-            min(WARP_SIZE, self.threads - i * WARP_SIZE) for i in range(n)]
-        self.current = 0
-        self.started[0] = True
+    def extend(self, addr: np.ndarray, opcodes: np.ndarray,
+               lanes: np.ndarray, graded: np.ndarray) -> None:
+        """Append instructions; ``graded`` holds (transactions, L1
+        misses, L2 misses) per instruction, with one extra leading row
+        owed to the launch's previous instruction."""
+        known = np.isin(opcodes, _OPCODE_VALUES)
+        if not known.all():
+            Opcode(opcodes[~known].tolist()[0])   # raises ValueError
+        if self.rows:
+            self._chunks[-1][3][-1] += graded[:, 0]
+        if addr.size:
+            self._chunks.append((addr, opcodes.astype(np.int64), lanes,
+                                 graded[:, 1:].T.copy()))
+            self.rows += addr.size
+        self._segments = None
 
-    # ---------------------------------------------------- scheduling
+    def close(self) -> None:
+        self.closed = True
+        self._segments = None
 
-    def _select_next(self, current_dead: bool):
-        """What runs after the current warp hands off: ``("warp", index,
-        start_addr, release)``, ``("cta", ...)``, or ``("end", ...)``
-        — computed without mutating (also used as EXIT lookahead)."""
-        alive = self.alive
-        skip = self.current if current_dead else -1
-        for i in range(self.current + 1, self.warps_per_cta):
-            if i != skip and alive[i] and not self.parked[i]:
-                addr = self.resume[i] if self.started[i] else self.entry_addr
-                return ("warp", i, addr, False)
-        for i in range(self.warps_per_cta):
-            if i != skip and alive[i]:
-                # end of pass; every survivor is parked at the barrier
-                return ("warp", i, self.resume[i], True)
-        if len(self.ctas) + 1 < self.num_ctas:
-            return ("cta", 0, self.entry_addr, False)
-        return ("end", None, None, False)
+    def _segment(self) -> Tuple[StreamTable, int, int]:
+        if self._segments is not None:
+            return self._segments
+        addr, opcodes, lanes = (
+            np.concatenate([chunk[k] for chunk in self._chunks])
+            if self._chunks else np.zeros(0, dtype=np.int64)
+            for k in range(3))
+        graded = (np.concatenate([chunk[3] for chunk in self._chunks])
+                  if self._chunks else np.zeros((0, 3), dtype=np.int64))
+        n = addr.size
+        ends = np.zeros(n, dtype=bool)
+        ends[-1:] = True
+        ordinals, dead = warp_ordinals(self.launch, addr, opcodes, ends)
+        threads, per_cta, _ = launch_geometry(self.launch)
+        count = n if self.closed else max(n - 1, 0)
+        ctas = int(ordinals[-1]) // per_cta + self.closed if n else 0
+        kept = int(np.searchsorted(ordinals[:count] // per_cta, ctas))
+        # one gather groups the instructions stream by stream
+        order = np.argsort(ordinals[:kept], kind="stable")
+        streams = ordinals[order]
+        rows = graded[order]
+        table = StreamTable(
+            addr=addr[order], opcode=opcodes[order], lanes=lanes[order],
+            transactions=rows[:, 0], l1_misses=rows[:, 1],
+            l2_misses=rows[:, 2],
+            divergent=_divergent(streams, opcodes[order], lanes[order],
+                                 threads, per_cta),
+            offsets=np.concatenate(([0], np.cumsum(np.bincount(
+                streams, minlength=ctas * per_cta)))),
+            cta_streams=[per_cta] * ctas)
+        self._segments = (table, count, int(np.count_nonzero(dead[:count])))
+        return self._segments
 
-    def _advance(self, current_dead: bool) -> None:
-        if current_dead:
-            self.alive[self.current] = False
-        kind, index, _, release = self._select_next(current_dead=False)
-        if kind == "warp":
-            if release:
-                for i in range(self.warps_per_cta):
-                    self.parked[i] = False
-            self.current = index
-            self.started[index] = True
-        elif kind == "cta":
-            self.ctas.append(self.streams)
-            self._start_cta()
-        # "end": nothing left; stray events count as desyncs in add()
+    @property
+    def table(self) -> StreamTable:
+        return self._segment()[0]
 
-    # ------------------------------------------------------- events
+    @property
+    def instr_count(self) -> int:
+        return self._segment()[1]
 
-    def add(self, rec: WarpInstr, next_addr: Optional[int]) -> None:
-        """Assign *rec* to the current warp; *next_addr* is the
-        one-event lookahead (None at launch end)."""
-        if self.entry_addr is None:
-            self.entry_addr = rec.addr
-        w = self.current
-        if not self.alive[w]:
-            self.desyncs += 1        # model mismatch: keep appending
-        if self.rebase[w]:
-            self.committed[w] = max(rec.lanes, 1)
-            self.rebase[w] = False
-        if rec.lanes > self.committed[w]:
-            self.committed[w] = rec.lanes    # reconvergence self-heal
-        rec.divergent = 0 < rec.lanes < self.committed[w]
-        self.streams[w].instrs.append(rec)
-        self.instr_count += 1
-        opcode = rec.opcode
-        if opcode is Opcode.BAR:
-            self.parked[w] = True
-            self.resume[w] = rec.addr + INSTRUCTION_BYTES
-            self._advance(current_dead=False)
-        elif opcode is Opcode.EXIT or opcode is Opcode.RET:
-            self.rebase[w] = True    # survivors re-base the warp width
-            if next_addr is None:
-                self._advance(current_dead=True)
-            elif next_addr == rec.addr + INSTRUCTION_BYTES:
-                pass                 # surviving lanes fell through
-            else:
-                kind, _, cand, _ = self._select_next(current_dead=True)
-                if kind != "end" and next_addr == cand:
-                    self._advance(current_dead=True)
-                # else: divergence-stack unwind within this warp
+    @property
+    def desyncs(self) -> int:
+        """Instructions assigned after their warp retired."""
+        return self._segment()[2]
 
-    def finalize(self) -> None:
-        if any(stream.instrs for stream in self.streams):
-            self.ctas.append(self.streams)
-        self.streams = []
+    @property
+    def ctas(self):
+        """Per-CTA :class:`~repro.sim.scheduler.WarpStream` lists."""
+        return self.table.streams()
 
 
 @dataclass
@@ -226,13 +327,14 @@ class TimingReport:
 
 
 class TimingModel:
-    """Feed trace events in order; schedule afterwards.
+    """Feed trace events or decoded frames in order; schedule afterwards.
 
-    ``feed`` is a pure function of the event stream, so a live capture
-    tee'd through it and an offline replay of the same trace produce
-    bit-identical reports.  The cache hierarchy that grades memory
-    latencies is the ``cachesim`` default (16 KiB/4-way L1 over
-    256 KiB/16-way L2), fed in event order.
+    Decoded frames go straight to the columnar ingestion; events are
+    buffered per launch and turned into the same columns, so a live
+    capture tee'd through :meth:`feed` and an offline replay of the
+    same trace produce bit-identical reports.  The cache hierarchy that
+    grades memory latencies is the ``cachesim`` default (16 KiB/4-way
+    L1 over 256 KiB/16-way L2), fed in record order.
     """
 
     def __init__(self, l1_kib: int = 16, l1_ways: int = 4,
@@ -240,146 +342,116 @@ class TimingModel:
         self.l2 = Cache(l2_kib << 10, ways=l2_ways, name="L2")
         self.l1 = Cache(l1_kib << 10, ways=l1_ways, name="L1",
                         next_level=self.l2)
-        self.launches: List[_LaunchBuilder] = []
-        self._builder: Optional[_LaunchBuilder] = None
-        self._pending: Optional[WarpInstr] = None
+        self._launches: List[LaunchStreams] = []
+        self._open: Optional[LaunchStreams] = None
+        self._events: List[object] = []
         self._reports: Dict[str, TimingReport] = {}
+
+    @property
+    def launches(self) -> List[LaunchStreams]:
+        self._flush_events()
+        return self._launches
 
     # ------------------------------------------------------- feeding
 
     def feed(self, event) -> None:
-        if isinstance(event, InstrEvent):
-            self._flush(next_addr=event.ins_addr)
-            self._pending = WarpInstr(addr=event.ins_addr,
-                                      opcode=Opcode(event.opcode),
-                                      lanes=event.lanes)
-        elif isinstance(event, MemEvent):
-            pending = self._pending
-            if pending is not None:
-                before_l1 = self.l1.stats.misses
-                before_l2 = self.l2.stats.misses
-                access = self.l1.access
-                for line in event.line_addresses:
-                    access(line)
-                pending.transactions += len(event.line_addresses)
-                pending.l1_misses += self.l1.stats.misses - before_l1
-                pending.l2_misses += self.l2.stats.misses - before_l2
-        elif isinstance(event, LaunchEvent):
-            self._end_launch()
-            # launch-boundary flush: memory latencies are graded against
-            # caches that start cold at every kernel launch, making the
-            # model launch-local (sharded replay == streaming replay)
-            self.l1.invalidate()
-            self._builder = _LaunchBuilder(event)
-            self.launches.append(self._builder)
-        elif isinstance(event, KernelEndEvent):
-            self._flush(next_addr=None)
-            if self._builder is not None:
-                self._builder.warp_instructions = event.warp_instructions
-                self._builder.finalize()
-            self._builder = None
-        # BranchEvents add nothing: divergence comes from lane counts
+        if isinstance(event, LaunchEvent):
+            self._begin(event)
+        elif self._open is not None:
+            self._events.append(event)
+        # events before any launch have no warp to join
 
     def feed_batch(self, events: Iterable) -> None:
         for event in events:
             self.feed(event)
 
     def feed_frame(self, frame: FrameColumns) -> None:
-        """Columnar equivalent of feeding one launch frame's events
-        through :meth:`feed` in record order — bit-identical model
-        state (stream rebuild, cache grading, pending flushes), minus
-        the per-event object construction and isinstance dispatch."""
-        self.feed(frame.launch)
-        tags = frame.record_tags.tolist()
-        if not tags:
-            return
-        instr_addr = frame.instr_addr.tolist()
-        instr_op = frame.instr_opcodes.tolist()
-        instr_lanes = frame.instr_lanes.tolist()
-        line_ends = np.cumsum(frame.mem_nlines).tolist()
-        kend_counts = frame.kend_counts.tolist()
-        mem_lines = frame.mem_lines
-        opcode_of = _OPCODES_BY_VALUE
-        l1 = self.l1
-        l2 = self.l2
-        builder = self._builder
-        pending = self._pending
-        ii = mi = ki = 0
-        line_at = 0
-        for tag in tags:
-            if tag == TAG_INSTR:
-                addr = instr_addr[ii]
-                if pending is not None and builder is not None:
-                    builder.add(pending, addr)
-                    self._reports.clear()
-                value = instr_op[ii]
-                opcode = opcode_of.get(value) or Opcode(value)
-                pending = WarpInstr(addr=addr, opcode=opcode,
-                                    lanes=instr_lanes[ii])
-                ii += 1
-            elif tag == TAG_MEM:
-                end = line_ends[mi]
-                if pending is not None:
-                    before_l2 = l2.stats.misses
-                    pending.l1_misses += l1.access_lines(
-                        mem_lines[line_at:end])
-                    pending.l2_misses += l2.stats.misses - before_l2
-                    pending.transactions += end - line_at
-                line_at = end
-                mi += 1
-            elif tag == TAG_KEND:
-                if pending is not None and builder is not None:
-                    builder.add(pending, None)
-                    self._reports.clear()
-                pending = None
-                if builder is not None:
-                    builder.warp_instructions = kend_counts[ki]
-                    builder.finalize()
-                builder = self._builder = None
-                ki += 1
-            # TAG_BRANCH: divergence comes from lane counts, as in feed()
-        self._pending = pending
+        """Feed one decoded launch frame — the same model state as
+        feeding its events through :meth:`feed`."""
+        self._begin(frame.launch)
+        self._feed_records(frame)
 
     def finish(self) -> None:
         """Close a trailing launch that never saw its end event."""
-        self._end_launch()
+        self._flush_events()
+        if self._open is not None:
+            self._open.close()
+            self._open = None
 
-    def _flush(self, next_addr: Optional[int]) -> None:
-        pending, self._pending = self._pending, None
-        if pending is not None and self._builder is not None:
-            self._builder.add(pending, next_addr)
-            self._reports.clear()
+    def _begin(self, event: LaunchEvent) -> None:
+        self.finish()
+        # launch-boundary flush: memory latencies are graded against
+        # caches that start cold at every kernel launch, making the
+        # model launch-local (sharded replay == streaming replay)
+        self.l1.invalidate()
+        self._open = LaunchStreams(event)
+        self._launches.append(self._open)
+        self._reports.clear()
 
-    def _end_launch(self) -> None:
-        self._flush(next_addr=None)
-        if self._builder is not None:
-            self._builder.finalize()
-            self._builder = None
+    def _flush_events(self) -> None:
+        if self._events:
+            events, self._events = self._events, []
+            self._feed_records(FrameColumns.from_events(None, events))
+
+    def _feed_records(self, frame: FrameColumns) -> None:
+        """Append the open launch's next records: its instructions up to
+        a kernel-end record, each carrying the transactions and L1/L2
+        misses of the memory records that follow it."""
+        launch = self._open
+        if launch is None:
+            return
+        self._reports.clear()
+        tags = frame.record_tags
+        kends = np.flatnonzero(tags == TAG_KEND)
+        stop = int(kends[0]) if kends.size else tags.size
+        instr_at = np.flatnonzero(tags[:stop] == TAG_INSTR)
+        mem_at = np.flatnonzero(tags[:stop] == TAG_MEM)
+        n = instr_at.size
+        # slot k + 1 collects instruction k's records; slot 0 those
+        # before this batch's first instruction (owed to the launch's
+        # previous instruction, graded only if there is one)
+        slot = np.searchsorted(instr_at, mem_at)
+        first = 0 if launch.rows else int(np.searchsorted(slot, 1))
+        nlines = frame.mem_nlines[first:mem_at.size]
+        graded = np.zeros((3, n + 1), dtype=np.int64)
+        if nlines.size:
+            line_ends = np.cumsum(frame.mem_nlines[:mem_at.size])
+            lo = int(line_ends[first - 1]) if first else 0
+            depth = self.l1.miss_depths(
+                frame.mem_lines[lo:int(line_ends[-1])])
+            owner = np.repeat(slot[first:], nlines)
+            for row, weights in enumerate((None, depth >= 1, depth >= 2)):
+                graded[row] = np.bincount(
+                    owner, weights=weights, minlength=n + 1)
+        launch.extend(frame.instr_addr[:n], frame.instr_opcodes[:n],
+                      frame.instr_lanes[:n], graded)
+        if kends.size:
+            launch.warp_instructions = int(frame.kend_counts[0])
+            launch.close()
+            self._open = None
 
     # ---------------------------------------------------- scheduling
 
     def schedule(self, policy: str = "gto") -> TimingReport:
+        launches = self.launches
         report = self._reports.get(policy)
         if report is not None:
             return report
         config = SchedulerConfig(policy=policy)
-        launches = []
-        for builder in self.launches:
-            sched = schedule_launch(builder.ctas, config)
-            spans = []
-            for streams in builder.ctas:
-                for stream in streams:
-                    spans.extend(divergence_spans(stream))
+        timings = []
+        for launch in launches:
+            table = launch.table
+            spans = table.spans()
             spans.sort(key=lambda s: (-s[1], s[0], s[2]))
-            launches.append(LaunchTiming(
-                kernel=builder.kernel,
-                launch_index=builder.launch_index,
-                grid=builder.grid, block=builder.block,
-                ctas=len(builder.ctas),
-                warps=sum(len(streams) for streams in builder.ctas),
-                instructions=builder.instr_count,
-                schedule=sched, spans=spans))
-        report = TimingReport(policy=policy, launches=launches)
+            timings.append(LaunchTiming(
+                kernel=launch.kernel,
+                launch_index=launch.launch_index,
+                grid=launch.grid, block=launch.block,
+                ctas=len(table.cta_streams),
+                warps=sum(table.cta_streams),
+                instructions=launch.instr_count,
+                schedule=schedule_launch(table, config), spans=spans))
+        report = TimingReport(policy=policy, launches=timings)
         self._reports[policy] = report
         return report
 

@@ -228,6 +228,34 @@ class TestTraceQuery:
                      "--launches", "a:b"]) == 2
         assert "bad launch range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--limit", "-1"], "--limit must be at least 1 (got -1)"),
+        (["--limit", "0"], "--limit must be at least 1 (got 0)"),
+        (["--limit", "-1", "--count"], "--limit must be at least 1"),
+        (["--warp", "-1"], "bad warp ordinal -1"),
+        (["--launches", "5:3"], "reversed launch range '5:3'"),
+        (["--addr", "0x2000:0x1000"],
+         "reversed address range '0x2000:0x1000'"),
+    ])
+    def test_bad_arguments_are_one_line_errors(self, captured_trace,
+                                               capsys, argv, message):
+        assert main(["trace", "query", captured_trace] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
+
+    def test_limit_zero_with_count_is_accepted(self, captured_trace,
+                                               capsys):
+        assert main(["trace", "query", captured_trace, "--count",
+                     "--limit", "0"]) == 0
+        assert " hits in " in capsys.readouterr().out
+
+    def test_empty_ranges_still_accepted(self, captured_trace, capsys):
+        assert main(["trace", "query", captured_trace, "--count",
+                     "--launches", "3:3", "--addr", "0x10:0x10"]) == 0
+        assert capsys.readouterr().out.startswith("0 hits")
+
     def test_torn_trace(self, captured_trace, tmp_path, capsys):
         data = open(captured_trace, "rb").read()
         torn = tmp_path / "torn.rptrace"
@@ -324,6 +352,16 @@ class TestTraceTiming:
         # exactly one hotspot row (rows are indented under "hotspots:")
         hot = out.split("hotspots:")[1].split("bubbles:")[0]
         assert len([l for l in hot.splitlines() if l.strip()]) == 1
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_summary_top_below_one_rejected(self, captured_trace, capsys,
+                                            value):
+        assert main(["trace", "summary", captured_trace,
+                     "--top", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"--top must be at least 1 (got {value})" in captured.err
 
     def test_iters_reports_per_launch_rows(self, captured_trace, capsys):
         assert main(["trace", "iters", captured_trace]) == 0
